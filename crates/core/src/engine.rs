@@ -35,8 +35,8 @@ use openoptics_switch::congestion::{CongestionConfig, CongestionPolicy};
 use openoptics_switch::offload::OffloadPolicy;
 use openoptics_switch::{IngressDecision, PipelineModel, ToRSwitch, TorConfig};
 use openoptics_telemetry::{
-    Counter, FlightTrigger, FrameLog, Labels, QuantileSketch, Registry, RetxKind, SampleRow,
-    ServiceStats, SloTarget, SloTransition, TimeSeries, Trace, TraceKind,
+    Counter, FlightTrigger, FrameLog, Labels, QuantileSketch, Registry, RetxKind, ServiceStats,
+    SloTarget, SloTransition, TimeSeries, Trace, TraceKind,
 };
 use openoptics_topo::TrafficMatrix;
 use openoptics_workload::fct::{FlowRecord, ELEPHANT_MIN_BYTES, MICE_MAX_BYTES};
@@ -623,10 +623,11 @@ pub struct Engine {
     /// completion while telemetry is on.
     class_sketches: [QuantileSketch; 3],
     /// Sim-time-sampled counter/gauge/service series (empty unless
-    /// `sample_every_ns > 0`).
+    /// `sample_every_ns > 0`). Rows are immutable and shared, so a clone
+    /// or fork copies pointers, not history.
     timeseries: TimeSeries,
-    /// Rendered frame lines for streaming subscriptions (samples, SLO
-    /// transitions, flight-recorder dumps).
+    /// Frames for streaming subscriptions: the time series' own sample
+    /// rows plus rendered SLO-transition and flight-recorder lines.
     frames: FrameLog,
     /// Injected fault campaign, if any (`None` = sunny-day run).
     faults: Option<FaultRuntime>,
@@ -987,23 +988,18 @@ impl Engine {
         self.tele.trace.emit(now, kind);
     }
 
-    /// One sampling tick: mirror counters, snapshot, and append the row to
-    /// the time series and the frame log.
+    /// One sampling tick: mirror counters, read every counter and gauge
+    /// value into a row of the time series, and share that row with the
+    /// frame log.
     pub(crate) fn take_sample(
         &mut self,
         now: SimTime,
         queue_stats: Option<openoptics_sim::QueueStats>,
     ) {
         self.sync_telemetry(queue_stats);
-        let snap = self.telemetry.snapshot(now);
-        let row = SampleRow {
-            at_ns: now.as_ns(),
-            counters: snap.counters,
-            gauges: snap.gauges,
-            services: self.services.iter().map(|s| s.summary()).collect(),
-        };
-        self.frames.push(row.to_json());
-        self.timeseries.push(row);
+        let services = self.services.iter().map(|s| s.summary()).collect();
+        let row = self.timeseries.sample(now.as_ns(), &self.telemetry, services);
+        self.frames.push_sample(row);
     }
 
     /// Dump the flight recorder — the trace stream's ring of most recent

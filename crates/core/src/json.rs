@@ -207,9 +207,16 @@ fn pretty_into(v: &Json, indent: usize, out: &mut String) {
     }
 }
 
-/// Parse a complete JSON document (trailing whitespace allowed, nothing else).
+/// Deepest nesting of arrays and objects [`parse`] accepts. The parser
+/// recurses once per level, so without a bound a request line of a few
+/// hundred kilobytes of `[` overflows the stack; scenario and checkpoint
+/// documents nest well under ten levels.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parse a complete JSON document (trailing whitespace allowed, nothing
+/// else; at most [`MAX_DEPTH`] levels of nesting).
 pub fn parse(text: &str) -> Result<Json, JsonError> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -222,6 +229,8 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -265,8 +274,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -277,6 +286,24 @@ impl Parser<'_> {
             }
             None => Err(JsonError::new("unexpected end of input")),
         }
+    }
+
+    /// Parse one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        body: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(JsonError::new(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = body(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
@@ -461,6 +488,25 @@ mod tests {
         assert!(parse("{}extra").is_err());
         assert!(parse(r#"{"a": }"#).is_err());
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() -> Result<(), JsonError> {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nest(100_000)).is_err(), "deep input must be refused, not overflow");
+        assert!(parse(&nest(MAX_DEPTH + 1)).is_err());
+        let mut v = parse(&nest(MAX_DEPTH))?;
+        let mut depth = 0;
+        while let Json::Arr(mut items) = v {
+            depth += 1;
+            v = items.pop().unwrap_or(Json::Null);
+        }
+        assert_eq!(depth, MAX_DEPTH);
+        let objs = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(parse(&objs).is_ok());
+        let objs = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH + 1), "}".repeat(MAX_DEPTH + 1));
+        assert!(parse(&objs).is_err());
+        Ok(())
     }
 
     #[test]

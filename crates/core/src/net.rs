@@ -206,7 +206,8 @@ impl OpenOpticsNet {
 
     /// An independent copy of the whole network at its current instant —
     /// a warm what-if branch. The fork owns deep copies of the engine,
-    /// event queue, and every telemetry/trace/span buffer, so running the
+    /// event queue, and every mutable telemetry/trace/span buffer, and
+    /// shares the immutable sample rows already recorded, so running the
     /// fork and the original produces two fully separate histories; each,
     /// run alone, is byte-identical to an uninterrupted run at any worker
     /// count.
@@ -543,12 +544,12 @@ impl OpenOpticsNet {
         Ok(self.engine.telemetry().trace().to_json_lines())
     }
 
-    /// The sampled time series as JSON lines, one [`SampleRow`] per line
-    /// (see [`openoptics_telemetry::SampleRow::to_json`]). Errors when
+    /// The sampled time series as JSON lines, one sample frame per row,
+    /// rendered as [`SampleRow::to_json`] renders it. Errors when
     /// telemetry is disabled or sampling was never configured
     /// (`sample_every_ns == 0`). Byte-identical at any worker count.
     ///
-    /// [`SampleRow`]: openoptics_telemetry::SampleRow
+    /// [`SampleRow::to_json`]: openoptics_telemetry::SampleRow::to_json
     pub fn export_timeseries(&self) -> Result<String, Error> {
         if !self.engine.telemetry().is_enabled() || self.engine.cfg.sample_every_ns == 0 {
             return Err(openoptics_telemetry::TelemetryError::Disabled.into());
@@ -820,6 +821,29 @@ mod tests {
             .expect("testbed routing deploys");
         off.run_for(SimTime::from_ms(1));
         assert!(off.export_timeseries().is_err());
+    }
+
+    #[test]
+    fn forked_time_series_is_unchanged_by_the_original_running_on() -> Result<(), Error> {
+        let cfg = NetConfig { sample_every_ns: 100_000, ..small_cfg() };
+        let mut net = rotor_net(&cfg);
+        net.deploy_routing(Vlb, LookupMode::PerHop, MultipathMode::PerPacket)?;
+        net.add_flow(SimTime::from_ns(100), HostId(0), HostId(3), 400_000, TransportKind::Paced);
+        net.run_for(SimTime::from_ms(1));
+        let fork = net.fork();
+        let frames = |n: &OpenOpticsNet| -> Vec<String> {
+            n.frames().since(0).iter().map(|f| f.to_json().into_owned()).collect()
+        };
+        let (series, stream) = (fork.export_timeseries()?, frames(&fork));
+        assert!(series.lines().count() >= 5, "expected sampled rows:\n{series}");
+        net.add_flow(SimTime::from_ms(1), HostId(1), HostId(2), 50_000, TransportKind::Paced);
+        net.run_for(SimTime::from_ms(2));
+        assert!(net.frames().len() > stream.len(), "the original kept sampling");
+        assert_eq!(fork.export_timeseries()?, series);
+        assert_eq!(frames(&fork), stream);
+        // The original's history still starts with the shared rows.
+        assert!(net.export_timeseries()?.starts_with(&series));
+        Ok(())
     }
 
     #[test]

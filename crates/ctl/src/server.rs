@@ -126,8 +126,11 @@ impl ControlPlane {
             let fresh = frames.since(*cursor);
             let take = fresh.len().min(MAX_FRAMES_PER_TURN);
             let sub = Json::Str(name.clone()).to_string();
-            for line in &fresh[..take] {
-                out.push(format!("{{\"sub\":{sub},\"frame\":{line}}}"));
+            for frame in &fresh[..take] {
+                let mut line = format!("{{\"sub\":{sub},\"frame\":");
+                frame.write_json(&mut line);
+                line.push('}');
+                out.push(line);
             }
             if fresh.len() > take {
                 out.push(format!(

@@ -482,6 +482,9 @@ fn rpc_errors_are_typed_and_echo_the_id() {
     assert!(unknown.contains("unknown method"), "{unknown}");
     let garbage = cp.handle_line("{not json");
     assert!(garbage.contains(r#""error""#), "{garbage}");
+    // A hostile nesting depth is a typed error, not a stack overflow.
+    let deep = cp.handle_line(&"[".repeat(100_000));
+    assert!(deep.contains(r#""error""#) && deep.contains("nesting deeper"), "{deep}");
     assert!(!cp.shutdown_requested());
     let bye = cp.handle_line(r#"{"id":9,"method":"shutdown"}"#);
     assert!(bye.contains(r#""ok":true"#), "{bye}");

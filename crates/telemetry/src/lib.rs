@@ -45,5 +45,5 @@ pub use labels::Labels;
 pub use registry::{Registry, Snapshot};
 pub use sketch::QuantileSketch;
 pub use slo::{ServiceStats, SloSummary, SloTarget, SloTransition};
-pub use timeseries::{FrameLog, SampleRow, TimeSeries};
+pub use timeseries::{Frame, FrameLog, Sample, SampleRow, TimeSeries};
 pub use trace::{FlightTrigger, RetxKind, Trace, TraceKind, TraceRecord};

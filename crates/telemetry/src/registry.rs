@@ -137,6 +137,33 @@ impl Registry {
         }
     }
 
+    /// Number of `(counter, gauge)` series registered. Series are never
+    /// removed, so an unchanged pair means an unchanged series set.
+    pub(crate) fn series_len(&self) -> (usize, usize) {
+        self.inner.as_ref().map_or((0, 0), |i| (i.counters.borrow().len(), i.gauges.borrow().len()))
+    }
+
+    /// Rendered `(counter, gauge)` names, in the same order as
+    /// [`Registry::snapshot`] and [`Registry::series_values`].
+    pub(crate) fn series_names(&self) -> (Vec<String>, Vec<String>) {
+        let Some(inner) = &self.inner else { return Default::default() };
+        let render = |(name, labels): &Key| format!("{name}{labels}");
+        (
+            inner.counters.borrow().keys().map(render).collect(),
+            inner.gauges.borrow().keys().map(render).collect(),
+        )
+    }
+
+    /// Current `(counter, gauge)` values in series-key order: the numbers
+    /// of a snapshot without rendering a name or touching a histogram.
+    pub(crate) fn series_values(&self) -> (Box<[u64]>, Box<[i64]>) {
+        let Some(inner) = &self.inner else { return Default::default() };
+        (
+            inner.counters.borrow().values().map(|v| v.get()).collect(),
+            inner.gauges.borrow().values().map(|v| v.get()).collect(),
+        )
+    }
+
     /// Render every series at sim-time `at`. Series appear sorted by
     /// `(name, labels)`; the result is byte-identical for identical runs.
     pub fn snapshot(&self, at: SimTime) -> Snapshot {
