@@ -283,7 +283,7 @@ fn bench_port_compile() {
 }
 
 fn bench_engine_end_to_end() {
-    use openoptics_core::{archs, NetConfig, TransportKind};
+    use openoptics_core::{Architecture, NetConfig, OpenOpticsNet, TransportKind};
     bench("engine_rotornet_1ms_8tor", || {
         let cfg = NetConfig {
             node_num: 8,
@@ -292,7 +292,8 @@ fn bench_engine_end_to_end() {
             sync_err_ns: 0,
             ..Default::default()
         };
-        let mut net = archs::rotornet(cfg).expect("rotornet deploys");
+        let mut net =
+            OpenOpticsNet::deploy_preset(cfg, Architecture::rotornet()).expect("rotornet deploys");
         net.add_flow(SimTime::from_ns(100), HostId(0), HostId(5), 100_000, TransportKind::Paced);
         net.run_for(SimTime::from_ms(1));
         black_box(net.fct().completed().len())

@@ -66,7 +66,7 @@ fn round(s: &mut Session) -> (f64, f64, f64) {
 
     let t = Instant::now();
     let ckpt = Checkpoint::parse(&doc).expect("bench checkpoint round-trips");
-    let restored = Session::restore(ckpt, None).expect("bench checkpoint restores");
+    let restored = Session::restore(ckpt).expect("bench checkpoint restores");
     let restore_s = t.elapsed().as_secs_f64();
 
     let t = Instant::now();

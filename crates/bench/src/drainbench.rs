@@ -1,8 +1,8 @@
 //! Batched-drain micro-benchmark: `EventQueue::pop_before` vs single-pop.
 //!
-//! The epoch-stepped engine drains a whole conservative-lookahead window
-//! per domain per sync through the fused [`openoptics_sim::EventQueue::pop_before`]
-//! primitive (one bucket lookup per delivered event). The pre-batching
+//! The engine's run loops drain up to a horizon through the fused
+//! [`openoptics_sim::EventQueue::pop_before`] primitive (one bucket lookup
+//! per delivered event). The pre-batching
 //! driver did the same work as a `peek_time` + `pop` pair — two traversals
 //! of the calendar structure per event. This micro-benchmark runs an
 //! identical windowed schedule-then-drain workload through both primitives

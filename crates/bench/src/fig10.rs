@@ -11,10 +11,10 @@
 
 use crate::par;
 use crate::util::{self, Table};
-use openoptics_core::archs;
+use openoptics_core::{Architecture, OpenOpticsNet};
 use openoptics_fabric::OCS_CATALOG;
 use openoptics_routing::algos::{Ucmp, Vlb};
-use openoptics_routing::MultipathMode;
+use openoptics_routing::{LookupMode, MultipathMode, RoutingAlgorithm};
 use openoptics_sim::time::SimTime;
 
 /// One `(device, routing)` cell.
@@ -44,13 +44,18 @@ pub fn run(duration_ms: u64) -> Vec<Fig10Row> {
         let routing = ["vlb", "ucmp"][i % 2];
         let mut cfg = util::testbed(dev.min_slice_ns, 2);
         cfg.guard_ns = dev.guardband_ns();
-        let mut net = match routing {
-            "vlb" => {
-                archs::rotornet_with(cfg, Vlb, MultipathMode::PerPacket).expect("rotornet deploys")
-            }
-            _ => archs::rotornet_with(cfg, Ucmp::default(), MultipathMode::PerPacket)
-                .expect("rotornet deploys"),
+        let algo: Box<dyn RoutingAlgorithm> = match routing {
+            "vlb" => Box::new(Vlb),
+            _ => Box::new(Ucmp::default()),
         };
+        let mut net = OpenOpticsNet::deploy(
+            cfg,
+            Architecture::rotornet(),
+            algo,
+            LookupMode::PerHop,
+            MultipathMode::PerPacket,
+        )
+        .expect("rotornet deploys");
         let stop = SimTime::from_ms(duration_ms);
         util::attach_memcached(&mut net, stop);
         net.run_for(SimTime::from_ms(duration_ms + 10));

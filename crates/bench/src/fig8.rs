@@ -14,10 +14,10 @@
 
 use crate::par;
 use crate::util::{self, Table};
-use openoptics_core::archs;
+use openoptics_core::{Architecture, OpenOpticsNet};
 use openoptics_proto::{HostId, NodeId};
 use openoptics_routing::algos::Ucmp;
-use openoptics_routing::MultipathMode;
+use openoptics_routing::{LookupMode, MultipathMode};
 use openoptics_sim::time::SimTime;
 
 /// One architecture's mice-FCT row.
@@ -62,13 +62,19 @@ fn architecture_with_spans(
     };
     let tm = || util::memcached_tm(8, NodeId(0));
     let net = match ARCH_NAMES[i] {
-        "clos" => archs::clos(cfg()),
-        "c-through" => archs::cthrough(cfg(), &tm()),
-        "jupiter" => archs::jupiter(cfg()),
-        "mordia" => archs::mordia(cfg(), &tm(), 8),
-        "rotornet-vlb" => archs::rotornet(cfg()),
-        "opera" => archs::opera(cfg()),
-        _ => archs::rotornet_with(cfg(), Ucmp::default(), MultipathMode::PerPacket),
+        "clos" => OpenOpticsNet::deploy_preset(cfg(), Architecture::clos()),
+        "c-through" => OpenOpticsNet::deploy_preset(cfg(), Architecture::cthrough(&tm())),
+        "jupiter" => OpenOpticsNet::deploy_preset(cfg(), Architecture::jupiter()),
+        "mordia" => OpenOpticsNet::deploy_preset(cfg(), Architecture::mordia(&tm(), 8)),
+        "rotornet-vlb" => OpenOpticsNet::deploy_preset(cfg(), Architecture::rotornet()),
+        "opera" => OpenOpticsNet::deploy_preset(cfg(), Architecture::opera()),
+        _ => OpenOpticsNet::deploy(
+            cfg(),
+            Architecture::rotornet(),
+            Box::new(Ucmp::default()),
+            LookupMode::PerHop,
+            MultipathMode::PerPacket,
+        ),
     };
     (ARCH_NAMES[i], net.expect("preset architecture deploys"))
 }
@@ -173,17 +179,28 @@ pub fn run_allreduce(data_bytes: u64) -> Vec<AllreduceRow> {
             "c-through" => {
                 let mut c = util::testbed(TO_SLICE_NS, 2);
                 c.elephant_threshold = 100_000;
-                ("c-through", archs::cthrough(c, &tm).expect("c-through deploys"))
+                (
+                    "c-through",
+                    OpenOpticsNet::deploy_preset(c, Architecture::cthrough(&tm))
+                        .expect("c-through deploys"),
+                )
             }
             "jupiter" => {
-                let mut net =
-                    archs::jupiter(util::testbed(TO_SLICE_NS, 2)).expect("jupiter deploys");
+                let mut net = OpenOpticsNet::deploy_preset(
+                    util::testbed(TO_SLICE_NS, 2),
+                    Architecture::jupiter(),
+                )
+                .expect("jupiter deploys");
                 net.reconfigure(&tm).expect("jupiter evolution stays valid");
                 ("jupiter", net)
             }
             "mordia" => (
                 "mordia",
-                archs::mordia(util::testbed(TO_SLICE_NS, 2), &tm, 8).expect("mordia deploys"),
+                OpenOpticsNet::deploy_preset(
+                    util::testbed(TO_SLICE_NS, 2),
+                    Architecture::mordia(&tm, 8),
+                )
+                .expect("mordia deploys"),
             ),
             _ => architecture(i, 2),
         };

@@ -13,9 +13,7 @@
 
 use crate::par;
 use crate::util::{self, Table};
-use openoptics_core::{
-    archs, Architecture, DispatchPolicy, OpenOpticsNet, PauseMode, TransportKind,
-};
+use openoptics_core::{Architecture, DispatchPolicy, OpenOpticsNet, PauseMode, TransportKind};
 use openoptics_host::tcp::TcpConfig;
 use openoptics_proto::HostId;
 use openoptics_routing::algos::{Direct, Vlb};
@@ -98,7 +96,13 @@ pub fn run(ms: u64) -> Vec<Fig9Row> {
     par::par_map(2 * SETUPS, |i| {
         let dupack = [3u32, 5][i / SETUPS];
         match i % SETUPS {
-            0 => measure("clos", archs::clos(iperf_cfg()).expect("clos deploys"), dupack, ms),
+            0 => measure(
+                "clos",
+                OpenOpticsNet::deploy_preset(iperf_cfg(), Architecture::clos())
+                    .expect("clos deploys"),
+                dupack,
+                ms,
+            ),
             1 => {
                 let mut direct_cfg = iperf_cfg();
                 // Direct-circuit traffic waits for its own circuit rather
@@ -115,8 +119,14 @@ pub fn run(ms: u64) -> Vec<Fig9Row> {
                 measure("rotornet-direct", direct, dupack, ms)
             }
             2 => {
-                let vlb = archs::rotornet_with(iperf_cfg(), Vlb, MultipathMode::PerPacket)
-                    .expect("rotornet deploys");
+                let vlb = OpenOpticsNet::deploy(
+                    iperf_cfg(),
+                    Architecture::rotornet(),
+                    Box::new(Vlb),
+                    LookupMode::PerHop,
+                    MultipathMode::PerPacket,
+                )
+                .expect("rotornet deploys");
                 measure("rotornet-vlb", vlb, dupack, ms)
             }
             3 => {

@@ -2,7 +2,7 @@
 //! evaluation.
 //!
 //! ```text
-//! experiments <id> [--quick] [--jobs N] [--workers N] [--profile]
+//! experiments <id> [--quick] [--jobs N] [--profile]
 //!   ids: fig8a fig8b fig9 fig10 fig11 fig12 fig13 fig14
 //!        table2 table3 table4 ablations minslice faults slo sweep all
 //! ```
@@ -22,12 +22,11 @@
 //! (default: available parallelism). Independent simulation points fan out
 //! across a `std::thread::scope` pool; results are collected in original
 //! order, so the rendered output is byte-identical at any worker count —
-//! `--jobs 1` reproduces the serial behavior exactly.
+//! `--jobs 1` reproduces the serial behavior exactly. Each simulation
+//! point itself runs on one thread.
 //!
-//! `--workers N` sets `NetConfig::workers` on every simulated network
-//! (default 1): `> 1` routes each run through conservative-lookahead
-//! epochs, the synchronization structure of the sharded engine. Output is
-//! byte-identical at any value — that invariant is CI-gated.
+//! Any other flag, a missing or second id, or a bad `--jobs` value prints
+//! the usage line and exits with status 2.
 //!
 //! The fig8a run also records causal lifecycle spans on its RotorNet-VLB
 //! point (every 4th flow) and writes `fig8a_spans.json` (Chrome
@@ -79,46 +78,37 @@ fn peak_rss_mb() -> f64 {
         .unwrap_or(0.0)
 }
 
+const USAGE: &str = "usage: experiments <fig8a|fig8b|fig9|fig10|fig11|fig12|fig13|fig14|table2|table3|table4|ablations|minslice|faults|slo|sweep|all> [--quick] [--jobs N] [--profile]";
+
+/// Print `msg` and the usage line, then exit with status 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("experiments: {msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let profile = args.iter().any(|a| a == "--profile");
-    if let Some(i) = args.iter().position(|a| a == "--jobs") {
-        let n = args
-            .get(i + 1)
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| {
-                eprintln!("--jobs expects a positive integer");
-                std::process::exit(2);
-            });
-        x::par::set_jobs(n);
+    let mut quick = false;
+    let mut profile = false;
+    let mut which: Option<String> = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--profile" => profile = true,
+            "--jobs" => {
+                let n = args
+                    .next()
+                    .and_then(|v| v.parse::<usize>().ok())
+                    .filter(|&n| n >= 1)
+                    .unwrap_or_else(|| usage_error("--jobs expects a positive integer"));
+                x::par::set_jobs(n);
+            }
+            flag if flag.starts_with('-') => usage_error(&format!("unknown flag `{flag}`")),
+            id if which.is_none() => which = Some(id.to_string()),
+            extra => usage_error(&format!("unexpected argument `{extra}`")),
+        }
     }
-    if let Some(i) = args.iter().position(|a| a == "--workers") {
-        let n = args
-            .get(i + 1)
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| {
-                eprintln!("--workers expects a positive integer");
-                std::process::exit(2);
-            });
-        x::par::set_workers(n);
-    }
-    let which = args
-        .iter()
-        .enumerate()
-        .filter(|(i, a)| {
-            // Skip flags and the value following --jobs / --workers.
-            !a.starts_with("--")
-                && (*i == 0 || (args[i - 1] != "--jobs" && args[i - 1] != "--workers"))
-        })
-        .map(|(_, a)| a.clone())
-        .next()
-        .unwrap_or_else(|| {
-            eprintln!("usage: experiments <fig8a|fig8b|fig9|fig10|fig11|fig12|fig13|fig14|table2|table3|table4|ablations|minslice|faults|slo|sweep|all> [--quick] [--jobs N] [--workers N] [--profile]");
-            std::process::exit(2);
-        });
+    let which = which.unwrap_or_else(|| usage_error("missing experiment id"));
     let all = which == "all";
     let run = |id: &str| all || which == id;
     let mut ran = false;
@@ -425,7 +415,6 @@ fn write_bench_json(
     let total_events: u64 = stats.iter().map(|s| s.events).sum();
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"jobs\": {},\n", x::par::jobs()));
-    out.push_str(&format!("  \"workers\": {},\n", x::par::workers()));
     out.push_str(&format!("  \"total_wall_s\": {total_wall:.3},\n"));
     out.push_str(&format!("  \"total_events\": {total_events},\n"));
     out.push_str(&format!(
@@ -442,12 +431,11 @@ fn write_bench_json(
     for (i, s) in stats.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"id\": \"{}\", \"wall_s\": {:.3}, \"events\": {}, \"events_per_sec\": {:.0}, \
-             \"workers\": {}, \"peak_rss_mb\": {:.1}{}{}}}{}\n",
+             \"peak_rss_mb\": {:.1}{}{}}}{}\n",
             s.id,
             s.wall_s,
             s.events,
             if s.wall_s > 0.0 { s.events as f64 / s.wall_s } else { 0.0 },
-            x::par::workers(),
             s.peak_rss_mb,
             s.extra,
             if ANALYTIC.contains(&s.id.as_str()) { ", \"analytic\": true" } else { "" },

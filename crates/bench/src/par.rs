@@ -19,26 +19,12 @@ use std::sync::Mutex;
 /// Configured worker count; 0 = not set, use available parallelism.
 static JOBS: AtomicUsize = AtomicUsize::new(0);
 
-/// Intra-run worker budget (`NetConfig::workers` for every bench network).
-static WORKERS: AtomicUsize = AtomicUsize::new(1);
-
 /// Events scheduled across all networks since the last [`take_events`].
 static EVENTS: AtomicU64 = AtomicU64::new(0);
 
 /// Set the worker count (the `--jobs` flag).
 pub fn set_jobs(n: usize) {
     JOBS.store(n.max(1), Ordering::Release);
-}
-
-/// Set the intra-run worker budget (the `--workers` flag): every network a
-/// bench builds gets this as `NetConfig::workers`.
-pub fn set_workers(n: usize) {
-    WORKERS.store(n.max(1), Ordering::Release);
-}
-
-/// The intra-run worker budget (default 1 — the classic serial loop).
-pub fn workers() -> usize {
-    WORKERS.load(Ordering::Acquire).max(1)
 }
 
 /// The effective worker count: the configured value, or available

@@ -13,17 +13,18 @@
 //! but attributes its bad completions to the fault window
 //! (`bad_in_fault > 0`); the bulk transfers, squeezed behind the failed
 //! port on the slowed 25 Gbps fabric, blow through their threshold and
-//! breach. Every number is byte-identical at any `--jobs` / `--workers`
-//! count because the sketches, windows and samples live on the
+//! breach. Every number is byte-identical at any `--jobs` count because the sketches, windows and samples live on the
 //! simulation clock.
 
 use crate::par;
 use crate::util::{self, Table};
-use openoptics_core::{archs, FaultPlan, SloSummary, SloTarget, TransportKind};
+use openoptics_core::{
+    Architecture, FaultPlan, OpenOpticsNet, SloSummary, SloTarget, TransportKind,
+};
 use openoptics_host::apps::MemcachedParams;
 use openoptics_proto::{HostId, NodeId, PortId};
 use openoptics_routing::algos::Vlb;
-use openoptics_routing::MultipathMode;
+use openoptics_routing::{LookupMode, MultipathMode};
 use openoptics_sim::time::SimTime;
 
 /// Run the SLO scenario for `ms` simulated milliseconds, returning the
@@ -33,8 +34,14 @@ pub fn run(ms: u64) -> (Vec<SloSummary>, usize) {
     cfg.uplink_gbps = 25;
     cfg.sync_err_ns = 0;
     cfg.sample_every_ns = 100_000;
-    let mut net =
-        archs::rotornet_with(cfg, Vlb, MultipathMode::PerPacket).expect("rotornet deploys");
+    let mut net = OpenOpticsNet::deploy(
+        cfg,
+        Architecture::rotornet(),
+        Box::new(Vlb),
+        LookupMode::PerHop,
+        MultipathMode::PerPacket,
+    )
+    .expect("rotornet deploys");
     let cache = net.declare_service(
         "cache",
         Some(SloTarget { latency_ns: 100_000, objective_milli: 900, window_ns: 1_000_000 }),

@@ -9,7 +9,7 @@
 //!
 //! Cells are independent simulation points and fan out over the [`par`]
 //! pool in index order, so the rendered output is byte-identical at any
-//! `--jobs` / `--workers` count (wall-clock figures go only to
+//! `--jobs` count (wall-clock figures go only to
 //! `BENCH_engine.json`, never to stdout).
 //!
 //! [`par`]: crate::par

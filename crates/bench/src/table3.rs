@@ -9,10 +9,10 @@
 
 use crate::par;
 use crate::util::{testbed, Table};
-use openoptics_core::{archs, OpenOpticsNet, TransportKind};
+use openoptics_core::{Architecture, OpenOpticsNet, TransportKind};
 use openoptics_proto::NodeId;
 use openoptics_routing::algos::{Hoho, Ucmp, Vlb};
-use openoptics_routing::MultipathMode;
+use openoptics_routing::{LookupMode, MultipathMode, RoutingAlgorithm};
 use openoptics_sim::time::SimTime;
 use openoptics_workload::{PoissonArrivals, Trace};
 
@@ -47,15 +47,13 @@ fn build(routing: &'static str, offload: bool) -> OpenOpticsNet {
     cfg.offload = offload;
     cfg.offload_keep_ranks = 2;
     cfg.offload_return_lead_ns = 50_000;
-    match routing {
-        "vlb" => {
-            archs::rotornet_with(cfg, Vlb, MultipathMode::PerPacket).expect("rotornet deploys")
-        }
-        "hoho" => archs::rotornet_with(cfg, Hoho::default(), MultipathMode::None)
-            .expect("rotornet deploys"),
-        _ => archs::rotornet_with(cfg, Ucmp::default(), MultipathMode::PerPacket)
-            .expect("rotornet deploys"),
-    }
+    let (algo, multipath): (Box<dyn RoutingAlgorithm>, _) = match routing {
+        "vlb" => (Box::new(Vlb), MultipathMode::PerPacket),
+        "hoho" => (Box::new(Hoho::default()), MultipathMode::None),
+        _ => (Box::new(Ucmp::default()), MultipathMode::PerPacket),
+    };
+    OpenOpticsNet::deploy(cfg, Architecture::rotornet(), algo, LookupMode::PerHop, multipath)
+        .expect("rotornet deploys")
 }
 
 fn attach_load(net: &mut OpenOpticsNet, trace: Trace, load: f64, horizon: SimTime, seed: u64) {

@@ -10,9 +10,9 @@
 
 use crate::par;
 use crate::util::{testbed, Table};
-use openoptics_core::{archs, OpenOpticsNet, TransportKind};
+use openoptics_core::{Architecture, OpenOpticsNet, TransportKind};
 use openoptics_routing::algos::Hoho;
-use openoptics_routing::MultipathMode;
+use openoptics_routing::{LookupMode, MultipathMode};
 use openoptics_sim::time::SimTime;
 use openoptics_workload::{PoissonArrivals, Trace};
 
@@ -46,8 +46,14 @@ fn build(detection: bool, pushback: bool) -> OpenOpticsNet {
     // Let the slice-capacity condition (the paper's novel detector) bind;
     // the classical threshold sits near queue capacity.
     cfg.congestion_threshold = 6 * 1024 * 1024;
-    let mut net =
-        archs::rotornet_with(cfg, Hoho::default(), MultipathMode::None).expect("rotornet deploys");
+    let mut net = OpenOpticsNet::deploy(
+        cfg,
+        Architecture::rotornet(),
+        Box::new(Hoho::default()),
+        LookupMode::PerHop,
+        MultipathMode::None,
+    )
+    .expect("rotornet deploys");
     net.engine.record_delays = true;
     // Open-loop trace replay: measure first-transmission loss and delay,
     // not a retransmission storm.

@@ -7,10 +7,25 @@
 //! time-expanded graph. This module captures what actually *differs*
 //! between designs as plain data — an [`Architecture`] is a schedule
 //! generator ([`ScheduleGen`]), a fabric class ([`ArchClass`]),
-//! dispatch/pause defaults, and a handful of config fixups — so the preset
-//! builders in [`crate::archs`] are all instances of the same
-//! `deploy(cfg, arch, routing, lookup, multipath)` entry point instead of
-//! eight hand-wired recipes.
+//! dispatch/pause defaults, and a handful of config fixups — so every
+//! preset is an instance of the same `deploy(cfg, arch, routing, lookup,
+//! multipath)` entry point instead of eight hand-wired recipes:
+//!
+//! | descriptor | class | schedule | default routing |
+//! |---|---|---|---|
+//! | [`Architecture::clos`] | baseline | none | — (electrical only) |
+//! | [`Architecture::cthrough`] | TA-1 | Edmonds max-weight matching | direct (elephants) |
+//! | [`Architecture::jupiter`] | TA-2 | evolving uniform mesh | WCMP |
+//! | [`Architecture::mordia`] | TA-1 | BvN decomposition | direct per slice |
+//! | [`Architecture::rotornet`] | TO | 1-D round robin | VLB |
+//! | [`Architecture::opera`] | TO | per-slice expanders | Opera source routing |
+//! | [`Architecture::shale`] | TO | multi-dim round robin | HOHO |
+//! | [`Architecture::semi_oblivious`] | TA+TO | SORN skewed round robin | VLB |
+//!
+//! [`OpenOpticsNet::deploy_preset`](crate::OpenOpticsNet::deploy_preset)
+//! deploys a descriptor with its default routing;
+//! [`OpenOpticsNet::reconfigure`](crate::OpenOpticsNet::reconfigure)
+//! retargets its schedule at a new traffic matrix.
 //!
 //! Pairing an architecture with a routing scheme is checked up front by
 //! [`check_compat`]: a scheme whose declared capabilities (see
@@ -376,8 +391,9 @@ impl Architecture {
         &mut self.schedule
     }
 
-    /// The preset's canonical routing pairing (what the thin `archs::*`
-    /// wrappers deploy).
+    /// The preset's canonical routing pairing (what
+    /// [`OpenOpticsNet::deploy_preset`](crate::OpenOpticsNet::deploy_preset)
+    /// deploys).
     pub fn default_routing(&self) -> RoutingChoice {
         (self.default_routing)()
     }

@@ -108,13 +108,6 @@ pub struct NetConfig {
     /// subscription frame stream. 0 disables sampling entirely — the
     /// sampling timer is never scheduled, so the hot path cost is zero.
     pub sample_every_ns: u64,
-    /// Worker budget for intra-run execution. `1` runs the classic serial
-    /// loop; `> 1` routes `run_for` through conservative-lookahead epochs
-    /// (windows derived from the optical schedule — see
-    /// `Fabric::conservative_lookahead_ns`), the barrier structure that
-    /// sharded execution synchronizes on. Output is byte-identical at any
-    /// value — the lookahead contract is exactly what makes that hold.
-    pub workers: usize,
     /// Simulation seed.
     pub seed: u64,
 }
@@ -157,7 +150,6 @@ impl Default for NetConfig {
             span_sample_every: 0,
             span_capacity: 65_536,
             sample_every_ns: 0,
-            workers: 1,
             seed: 1,
         }
     }
@@ -203,7 +195,6 @@ macro_rules! for_each_config_field {
         $m!(u64 span_sample_every);
         $m!(u64 span_capacity);
         $m!(u64 sample_every_ns);
-        $m!(usize workers);
         $m!(u64 seed);
     };
 }
@@ -316,9 +307,6 @@ impl NetConfig {
         if self.queue_capacity == 0 {
             return Err(err("queue_capacity", "calendar queues need a positive byte capacity"));
         }
-        if self.workers == 0 {
-            return Err(err("workers", "the engine needs at least one worker"));
-        }
         match self.congestion_policy.as_str() {
             "drop" | "trim" | "wait" | "defer" => {}
             other => {
@@ -332,8 +320,9 @@ impl NetConfig {
     }
 
     /// Parse from the JSON configuration file format. Missing fields take
-    /// their defaults; unknown fields are ignored; wrongly-typed fields are
-    /// an error.
+    /// their defaults; unknown fields are ignored; wrongly-typed fields and
+    /// integers that do not fit the field's type are an error naming the
+    /// field.
     pub fn from_json(json_text: &str) -> Result<Self, json::JsonError> {
         let parsed = json::parse(json_text)?;
         let json::Json::Obj(fields) = parsed else {
@@ -344,19 +333,23 @@ impl NetConfig {
             macro_rules! read_field {
                 (str $name:ident) => {
                     if key == stringify!($name) {
-                        cfg.$name = value.as_str()?.to_string();
+                        let v = value.as_str().map_err(|e| e.in_field(stringify!($name)))?;
+                        cfg.$name = v.to_string();
                         continue;
                     }
                 };
                 (bool $name:ident) => {
                     if key == stringify!($name) {
-                        cfg.$name = value.as_bool()?;
+                        cfg.$name = value.as_bool().map_err(|e| e.in_field(stringify!($name)))?;
                         continue;
                     }
                 };
                 ($int:ident $name:ident) => {
                     if key == stringify!($name) {
-                        cfg.$name = value.as_u64()? as $int;
+                        let v = value.as_u64().map_err(|e| e.in_field(stringify!($name)))?;
+                        cfg.$name = $int::try_from(v).map_err(|_| {
+                            json::JsonError::out_of_range(stringify!($name), v, $int::MAX)
+                        })?;
                         continue;
                     }
                 };
@@ -458,5 +451,31 @@ mod tests {
     #[test]
     fn rejects_malformed_json() {
         assert!(NetConfig::from_json("{not json").is_err());
+    }
+
+    #[test]
+    fn out_of_range_integers_are_rejected_not_truncated() -> Result<(), json::JsonError> {
+        // u32: 2^32 + 8 would truncate to 8. u16: 65537 would truncate to
+        // 1. usize: 2^64 is past usize::MAX on every supported target (and
+        // would saturate to u64::MAX on the way in).
+        for (text, field) in [
+            (r#"{"node_num": 4294967304}"#, "node_num"),
+            (r#"{"uplink": 65537}"#, "uplink"),
+            (r#"{"num_queues": 18446744073709551616}"#, "num_queues"),
+        ] {
+            let e = NetConfig::from_json(text).expect_err(text);
+            assert_eq!(e.field(), Some(field), "{e}");
+            assert!(e.to_string().contains("out of range"), "{e}");
+        }
+        // The largest in-range values still load.
+        let c = NetConfig::from_json(r#"{"node_num": 4294967295, "uplink": 65535}"#)?;
+        assert_eq!((c.node_num, c.uplink), (u32::MAX, u16::MAX));
+        Ok(())
+    }
+
+    #[test]
+    fn wrongly_typed_fields_are_named() {
+        let e = NetConfig::from_json(r#"{"seed": "one"}"#).unwrap_err();
+        assert_eq!(e.field(), Some("seed"), "{e}");
     }
 }

@@ -1461,16 +1461,6 @@ impl Engine {
         self.probe_trains.len() - 1
     }
 
-    /// Conservative lookahead window (ns) for epoch-stepped execution: the
-    /// fabric's minimum cross-node delay plus the serialization floor of
-    /// the smallest frame (64 B) on an optical uplink. Any two nodes'
-    /// interactions carry at least this much simulated delay, so execution
-    /// chunked into windows of this size is equivalent to (and, sharded,
-    /// safely parallelizable against) the serial event loop.
-    pub fn conservative_lookahead_ns(&self) -> u64 {
-        self.fabric.conservative_lookahead_ns(self.cfg.uplink_bandwidth().tx_time_ns(64))
-    }
-
     /// Install the initial events: rotations, scheduled flows, app timers.
     /// Call once before running.
     pub fn prime(&mut self, q: &mut EventQueue<Event>) {
@@ -1532,7 +1522,7 @@ impl Engine {
             q.schedule(SimTime::from_ns(1), Event::Timer(Timer::ProbeSend(t)));
         }
         // Fault windows: each edge is an ordinary (time, seq) event, so
-        // campaigns replay byte-identically at any worker count.
+        // campaigns replay byte-identically on every run.
         if let Some(f) = &self.faults {
             for (i, s) in f.specs.iter().enumerate() {
                 q.schedule(s.start, Event::Timer(Timer::FaultStart(i)));

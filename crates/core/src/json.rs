@@ -29,16 +29,32 @@ pub enum Json {
 #[derive(Clone, Debug, PartialEq)]
 pub struct JsonError {
     msg: String,
+    field: Option<&'static str>,
 }
 
 impl JsonError {
     fn new(msg: impl Into<String>) -> Self {
-        JsonError { msg: msg.into() }
+        JsonError { msg: msg.into(), field: None }
     }
 
     /// Error for a document whose top level is not an object.
     pub fn not_an_object() -> Self {
         JsonError::new("expected a JSON object at the top level")
+    }
+
+    /// Error for an integer field whose value does not fit its type.
+    pub(crate) fn out_of_range(field: &'static str, value: u64, max: impl fmt::Display) -> Self {
+        JsonError::new(format!("{value} is out of range (max {max})")).in_field(field)
+    }
+
+    /// The same error, attributed to configuration field `field`.
+    pub(crate) fn in_field(self, field: &'static str) -> Self {
+        JsonError { msg: format!("`{field}`: {}", self.msg), field: Some(field) }
+    }
+
+    /// The configuration field the error is about, when it names one.
+    pub fn field(&self) -> Option<&'static str> {
+        self.field
     }
 }
 
@@ -62,7 +78,11 @@ impl Json {
     /// The value as an unsigned integer, or a type error.
     pub fn as_u64(&self) -> Result<u64, JsonError> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => Ok(*n as u64),
+            // `u64::MAX as f64` rounds up to 2^64, which itself does not fit.
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < u64::MAX as f64 => Ok(*n as u64),
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => {
+                Err(JsonError::new(format!("{n} is out of range (max {})", u64::MAX)))
+            }
             other => Err(JsonError::new(format!("expected unsigned integer, got {other:?}"))),
         }
     }

@@ -12,16 +12,16 @@
 //! * [`net`] — [`net::OpenOpticsNet`], the user-facing object exposing the
 //!   Table-1 API: `connect` / `deploy_topo` / `add` / `deploy_routing` /
 //!   `collect` / `buffer_usage` / `bw_usage`, plus workload attachment;
-//! * [`archs`] — preset architectures mirroring Fig. 5: Clos, c-Through,
+//! * [`arch`] — architecture descriptors mirroring Fig. 5: Clos, c-Through,
 //!   Jupiter, Mordia, RotorNet, Opera, Shale, and the semi-oblivious TA+TO
-//!   hybrid (the hierarchical design is `examples/hierarchical.rs`);
+//!   hybrid, each deployed with [`net::OpenOpticsNet::deploy_preset`] (the
+//!   hierarchical design is `examples/hierarchical.rs`);
 //! * [`workflow`] — the unified TA control loop
 //!   (`while TM = collect(): reconfigure`).
 
 /// Architecture descriptors: schedule generators, fabric classes,
 /// dispatch/pause defaults, and the routing compatibility contract.
 pub mod arch;
-pub mod archs;
 pub mod config;
 pub mod engine;
 pub mod error;

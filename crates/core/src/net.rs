@@ -147,7 +147,7 @@ impl OpenOpticsNet {
     }
 
     /// [`deploy`](Self::deploy) with the architecture's canonical routing
-    /// pairing (what the preset builders in [`crate::archs`] use).
+    /// pairing ([`Architecture::default_routing`]).
     pub fn deploy_preset(cfg: NetConfig, arch: Architecture) -> Result<OpenOpticsNet, Error> {
         let (algo, lookup, multipath) = arch.default_routing();
         OpenOpticsNet::deploy(cfg, arch, algo, lookup, multipath)
@@ -209,8 +209,7 @@ impl OpenOpticsNet {
     /// event queue, and every mutable telemetry/trace/span buffer, and
     /// shares the immutable sample rows already recorded, so running the
     /// fork and the original produces two fully separate histories; each,
-    /// run alone, is byte-identical to an uninterrupted run at any worker
-    /// count.
+    /// run alone, is byte-identical to an uninterrupted run.
     pub fn fork(&self) -> OpenOpticsNet {
         let mut net = self.clone();
         net.engine = self.engine.fork();
@@ -420,8 +419,8 @@ impl OpenOpticsNet {
     /// lie in the simulated past. Each window edge becomes an ordinary
     /// `(time, seq)` event on the calendar queue, so the same plan + seed
     /// reproduces identical [`fault_report`](Self::fault_report) counters
-    /// on every run and at any worker count. May be called repeatedly; new
-    /// windows extend the campaign.
+    /// on every run, however it is split into `run_for` steps. May be
+    /// called repeatedly; new windows extend the campaign.
     pub fn inject_faults(&mut self, plan: &openoptics_faults::FaultPlan) -> Result<(), Error> {
         let not_before = if self.primed { self.now } else { SimTime::ZERO };
         let range = self.engine.set_fault_plan(plan, not_before).map_err(Error::from)?;
@@ -513,7 +512,7 @@ impl OpenOpticsNet {
     /// A deterministic snapshot of every metric at the current simulation
     /// time: engine-side plain counters are mirrored into the registry
     /// first, so the snapshot is complete. Stamped in sim time only —
-    /// byte-identical across runs and worker counts.
+    /// byte-identical across runs.
     pub fn telemetry_snapshot(&self) -> openoptics_telemetry::Snapshot {
         self.engine.sync_telemetry(Some(self.queue.stats()));
         self.engine.telemetry().snapshot(self.now)
@@ -547,7 +546,7 @@ impl OpenOpticsNet {
     /// The sampled time series as JSON lines, one sample frame per row,
     /// rendered as [`SampleRow::to_json`] renders it. Errors when
     /// telemetry is disabled or sampling was never configured
-    /// (`sample_every_ns == 0`). Byte-identical at any worker count.
+    /// (`sample_every_ns == 0`). Byte-identical across runs.
     ///
     /// [`SampleRow::to_json`]: openoptics_telemetry::SampleRow::to_json
     pub fn export_timeseries(&self) -> Result<String, Error> {
@@ -634,7 +633,7 @@ impl OpenOpticsNet {
     /// The recorded lifecycle spans as Chrome trace-event JSON (loadable
     /// in Perfetto / `chrome://tracing`). Requires `span_sample_every > 0`
     /// in the configuration; errors when span recording is off. Stamped in
-    /// sim time only — byte-identical across runs and worker counts.
+    /// sim time only — byte-identical across runs.
     pub fn export_spans_chrome_trace(&self) -> Result<String, Error> {
         if !self.engine.has_span_recording() {
             return Err(openoptics_obs::ObsError::Disabled.into());
@@ -705,31 +704,14 @@ impl OpenOpticsNet {
     }
 
     /// Run the simulation for `dur` more simulated time.
-    ///
-    /// With `cfg.workers > 1` the run advances in conservative-lookahead
-    /// epochs (`Engine::conservative_lookahead_ns` windows) — the barrier
-    /// structure sharded execution synchronizes on. The event order, and
-    /// therefore every export, is byte-identical at any worker count: all
-    /// events still drain from one `(time, seq)`-ordered queue, only the
-    /// horizon handed to the driver changes.
     pub fn run_for(&mut self, dur: SimTime) {
         if !self.primed {
             self.engine.prime(&mut self.queue);
             self.primed = true;
         }
         let until = self.now + dur.as_ns();
-        if self.engine.cfg.workers > 1 {
-            let lookahead = self.engine.conservative_lookahead_ns().max(1);
-            while self.now < until {
-                let end =
-                    SimTime::from_ns(self.now.as_ns().saturating_add(lookahead).min(until.as_ns()));
-                run(&mut self.engine, &mut self.queue, end);
-                self.now = end;
-            }
-        } else {
-            run(&mut self.engine, &mut self.queue, until);
-            self.now = until;
-        }
+        run(&mut self.engine, &mut self.queue, until);
+        self.now = until;
     }
 
     /// Completed-flow FCT statistics.
@@ -922,7 +904,8 @@ mod tests {
         let mut cfg = small_cfg();
         cfg.electrical_gbps = 1;
         cfg.hosts_per_node = 3;
-        let mut net = crate::archs::clos(cfg).expect("clos deploys on the test config");
+        let mut net = OpenOpticsNet::deploy_preset(cfg, Architecture::clos())
+            .expect("clos deploys on the test config");
         net.engine.watchdog_retransmit = false;
         for h in [0u32, 1, 2] {
             net.add_flow(
@@ -967,5 +950,162 @@ mod tests {
         net.add_flow(SimTime::from_ns(100), HostId(0), HostId(3), 100_000, TransportKind::Paced);
         net.run_for(SimTime::from_ms(5));
         assert!(net.bw_usage(NodeId(0), PortId(0)) > 0);
+    }
+
+    /// The 8-node rotor configuration the preset tests deploy on.
+    fn cfg8() -> NetConfig {
+        NetConfig { node_num: 8, ..small_cfg() }
+    }
+
+    fn run_one_flow(net: &mut OpenOpticsNet, bytes: u64) -> u64 {
+        net.add_flow(SimTime::from_ns(100), HostId(0), HostId(5), bytes, TransportKind::Paced);
+        net.run_for(SimTime::from_ms(20));
+        assert_eq!(net.fct().completed().len(), 1, "flow did not complete");
+        net.fct().completed()[0].fct_ns()
+    }
+
+    #[test]
+    fn clos_preset_carries_traffic_electrically() {
+        let mut net = OpenOpticsNet::deploy_preset(cfg8(), Architecture::clos())
+            .expect("clos deploys on the 8-node test config");
+        let fct = run_one_flow(&mut net, 20_000);
+        assert!(fct > 0);
+        let (delivered, _) = net.engine.fabric_stats();
+        assert_eq!(delivered, 0, "no packet should touch the optical fabric");
+    }
+
+    #[test]
+    fn rotornet_preset_vlb_delivers() {
+        let mut net = OpenOpticsNet::deploy_preset(cfg8(), Architecture::rotornet())
+            .expect("rotornet deploys on the 8-node test config");
+        run_one_flow(&mut net, 50_000);
+        let (delivered, _) = net.engine.fabric_stats();
+        assert!(delivered > 0);
+    }
+
+    #[test]
+    fn opera_preset_delivers_with_source_routing() {
+        let mut net = OpenOpticsNet::deploy_preset(cfg8(), Architecture::opera())
+            .expect("opera deploys on the 8-node test config");
+        run_one_flow(&mut net, 50_000);
+    }
+
+    #[test]
+    fn mordia_preset_serves_demand_pairs() {
+        let mut tm = TrafficMatrix::zeros(8);
+        tm.set(NodeId(0), NodeId(5), 100.0);
+        tm.set(NodeId(1), NodeId(2), 50.0);
+        let mut net = OpenOpticsNet::deploy_preset(cfg8(), Architecture::mordia(&tm, 8))
+            .expect("mordia deploys on the 8-node test config");
+        run_one_flow(&mut net, 20_000);
+    }
+
+    #[test]
+    fn jupiter_preset_wcmp_delivers() {
+        let mut cfg = cfg8();
+        cfg.uplink = 2;
+        let mut net = OpenOpticsNet::deploy_preset(cfg, Architecture::jupiter())
+            .expect("jupiter deploys on the test config");
+        run_one_flow(&mut net, 20_000);
+    }
+
+    #[test]
+    fn cthrough_preset_splits_mice_and_elephants() {
+        let mut tm = TrafficMatrix::zeros(8);
+        tm.set(NodeId(0), NodeId(5), 1e9);
+        let mut cfg = cfg8();
+        cfg.elephant_threshold = 100_000;
+        let mut net = OpenOpticsNet::deploy_preset(cfg, Architecture::cthrough(&tm))
+            .expect("c-through deploys on the test config");
+        // A mouse (electrical) and an elephant (optical, paused until its
+        // held circuit — which exists for pair 0-5).
+        net.add_flow(SimTime::from_ns(100), HostId(1), HostId(2), 10_000, TransportKind::Paced);
+        net.add_flow(SimTime::from_ns(100), HostId(0), HostId(5), 2_000_000, TransportKind::Paced);
+        net.run_for(SimTime::from_ms(50));
+        assert_eq!(net.fct().completed().len(), 2, "both flows complete");
+    }
+
+    #[test]
+    fn semi_oblivious_preset_deploys_and_delivers() {
+        let mut tm = TrafficMatrix::zeros(8);
+        tm.set(NodeId(0), NodeId(5), 1000.0);
+        let mut net = OpenOpticsNet::deploy_preset(cfg8(), Architecture::semi_oblivious(&tm, 4))
+            .expect("semi-oblivious deploys on the 8-node test config");
+        run_one_flow(&mut net, 50_000);
+    }
+
+    #[test]
+    fn reconfigure_hook_shared_by_all_presets() {
+        // jupiter → evolve; cthrough → fresh matching; semi_oblivious →
+        // new SORN slice count. All through OpenOpticsNet::reconfigure.
+        let mut tm = TrafficMatrix::zeros(8);
+        tm.set(NodeId(0), NodeId(5), 500.0);
+
+        let mut net = OpenOpticsNet::deploy_preset(cfg8(), Architecture::jupiter())
+            .expect("jupiter deploys on the 8-node test config");
+        net.reconfigure(&tm).expect("jupiter reconfigures under the test demand");
+        run_one_flow(&mut net, 20_000);
+
+        let mut net = OpenOpticsNet::deploy_preset(cfg8(), Architecture::cthrough(&tm))
+            .expect("c-through deploys on the 8-node test config");
+        net.reconfigure(&tm).expect("c-through reconfigures under the test demand");
+
+        let mut net = OpenOpticsNet::deploy_preset(cfg8(), Architecture::semi_oblivious(&tm, 2))
+            .expect("semi-oblivious deploys on the 8-node test config");
+        let before = net.engine.schedule().slice_config().num_slices;
+        if let Some(crate::arch::ScheduleGen::Sorn { extra_slices, .. }) =
+            net.arch_mut().map(Architecture::schedule_mut)
+        {
+            *extra_slices = 6;
+        }
+        net.reconfigure(&tm).expect("semi-oblivious reconfigures under the test demand");
+        let after = net.engine.schedule().slice_config().num_slices;
+        assert!(after > before, "extra slices must grow the schedule ({before} -> {after})");
+    }
+
+    #[test]
+    fn reconfigure_without_descriptor_is_typed_error() {
+        let mut net = OpenOpticsNet::new(cfg8());
+        let e = net.reconfigure(&TrafficMatrix::zeros(8)).unwrap_err();
+        assert!(matches!(e, Error::Config(_)), "got {e}");
+    }
+
+    #[test]
+    fn incompatible_pairings_are_rejected_with_config_errors() {
+        use openoptics_routing::algos::{Ecmp, Ucmp};
+        fn rejection(r: Result<OpenOpticsNet, Error>) -> Error {
+            match r {
+                Err(e) => e,
+                Ok(_) => panic!("pairing should have been rejected"),
+            }
+        }
+        // TO scheme on a held instance.
+        let e = rejection(OpenOpticsNet::deploy(
+            cfg8(),
+            Architecture::jupiter(),
+            Box::new(Vlb),
+            LookupMode::PerHop,
+            MultipathMode::PerPacket,
+        ));
+        assert!(matches!(e, Error::Config(_)), "got {e}");
+        // Source routing on a real (non-emulated) OCS fabric.
+        let tm = TrafficMatrix::zeros(8);
+        let e = rejection(OpenOpticsNet::deploy(
+            cfg8(),
+            Architecture::cthrough(&tm),
+            Box::new(Ucmp::default()),
+            LookupMode::PerHop,
+            MultipathMode::PerPacket,
+        ));
+        assert!(matches!(e, Error::Config(_)), "got {e}");
+        // Within-instance search over sparse round-robin matchings.
+        let e = rejection(OpenOpticsNet::deploy(
+            cfg8(),
+            Architecture::rotornet(),
+            Box::new(Ecmp::default()),
+            LookupMode::PerHop,
+            MultipathMode::PerFlow,
+        ));
+        assert!(matches!(e, Error::Config(_)), "got {e}");
     }
 }

@@ -39,9 +39,8 @@ pub struct LoopObservation<'a> {
 /// the last collected traffic matrix.
 ///
 /// The reconfigure step typically calls the single reconfigure hook,
-/// [`OpenOpticsNet::reconfigure`] (or a deprecated `*_reconfigure` wrapper
-/// such as [`crate::archs::jupiter_reconfigure`]), or its own
-/// `deploy_topo` / `deploy_routing` sequence.
+/// [`OpenOpticsNet::reconfigure`], or its own `deploy_topo` /
+/// `deploy_routing` sequence.
 pub fn run_ta_loop(
     net: &mut OpenOpticsNet,
     interval: SimTime,
@@ -61,7 +60,7 @@ pub fn run_ta_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::archs;
+    use crate::arch::Architecture;
     use crate::config::NetConfig;
     use crate::engine::TransportKind;
     use openoptics_proto::{HostId, NodeId};
@@ -78,7 +77,8 @@ mod tests {
             ocs_reconfig_ns: 500_000,
             ..Default::default()
         };
-        let mut net = archs::jupiter(cfg).expect("jupiter deploys on the workflow test config");
+        let mut net = OpenOpticsNet::deploy_preset(cfg, Architecture::jupiter())
+            .expect("jupiter deploys on the workflow test config");
         // Persistent hotspot 0 -> 5 plus background.
         for k in 0..40u64 {
             net.add_flow(

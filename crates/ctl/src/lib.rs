@@ -14,7 +14,7 @@
 //!   line-delimited JSON-RPC TCP protocol or directly in-process.
 //! - **Checkpoint/restore** ([`Checkpoint`]): snapshot a run as scenario +
 //!   operation journal, restore it by replay, byte-identical to an
-//!   uninterrupted run at any worker count; or branch a warm run in memory
+//!   uninterrupted run; or branch a warm run in memory
 //!   with [`Session::fork`].
 //!
 //! The crate never reads wall-clock time and the server never touches the

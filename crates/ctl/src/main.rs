@@ -6,9 +6,9 @@
 //!
 //! ```text
 //! openoptics-ctl check <scenario.json>
-//! openoptics-ctl run <scenario.json> [--workers N] [--save-at NS --checkpoint FILE]
-//! openoptics-ctl resume <checkpoint.json> [--workers N] [--save-at NS --checkpoint FILE]
-//! openoptics-ctl serve <addr> [--workers N]
+//! openoptics-ctl run <scenario.json> [--save-at NS --checkpoint FILE]
+//! openoptics-ctl resume <checkpoint.json> [--save-at NS --checkpoint FILE]
+//! openoptics-ctl serve <addr>
 //! ```
 
 use std::process::ExitCode;
@@ -44,32 +44,26 @@ usage: openoptics-ctl <command> [args]
 commands:
   check <scenario.json>                 validate a scenario, print the normalized form
   run <scenario.json>                   deploy and run to stop_ns, print the export bundle
-      [--workers N]                     override the configured worker count
       [--save-at NS --checkpoint FILE]  checkpoint mid-run at sim time NS
   resume <checkpoint.json>              restore by replay, run on to stop_ns, print the bundle
-      [--workers N] [--save-at NS --checkpoint FILE]
-  serve <addr> [--workers N]            line-delimited JSON-RPC server (e.g. 127.0.0.1:9178)
+      [--save-at NS --checkpoint FILE]
+  serve <addr>                          line-delimited JSON-RPC server (e.g. 127.0.0.1:9178)
 ";
 
 /// Flags shared by `run` and `resume`.
 struct RunFlags {
-    workers: Option<usize>,
     save_at: Option<u64>,
     checkpoint: Option<String>,
 }
 
 fn parse_flags<'a>(it: impl Iterator<Item = &'a str>) -> Result<RunFlags, String> {
-    let mut flags = RunFlags { workers: None, save_at: None, checkpoint: None };
+    let mut flags = RunFlags { save_at: None, checkpoint: None };
     let mut it = it.peekable();
     while let Some(flag) = it.next() {
         let mut value = |name: &str| -> Result<&'a str, String> {
             it.next().ok_or_else(|| format!("{name} needs a value"))
         };
         match flag {
-            "--workers" => {
-                flags.workers =
-                    Some(value("--workers")?.parse().map_err(|e| format!("--workers: {e}"))?)
-            }
             "--save-at" => {
                 flags.save_at =
                     Some(value("--save-at")?.parse().map_err(|e| format!("--save-at: {e}"))?)
@@ -99,7 +93,7 @@ fn cmd_run<'a>(mut it: impl Iterator<Item = &'a str>) -> Result<(), String> {
     let path = it.next().ok_or("run needs a scenario file")?;
     let flags = parse_flags(it)?;
     let scenario = Scenario::parse(&read(path)?).map_err(|e| e.to_string())?;
-    let session = Session::with_workers(scenario, flags.workers).map_err(|e| e.to_string())?;
+    let session = Session::new(scenario).map_err(|e| e.to_string())?;
     drive(session, &flags)
 }
 
@@ -107,7 +101,7 @@ fn cmd_resume<'a>(mut it: impl Iterator<Item = &'a str>) -> Result<(), String> {
     let path = it.next().ok_or("resume needs a checkpoint file")?;
     let flags = parse_flags(it)?;
     let ckpt = Checkpoint::parse(&read(path)?).map_err(|e| e.to_string())?;
-    let session = Session::restore(ckpt, flags.workers).map_err(|e| e.to_string())?;
+    let session = Session::restore(ckpt).map_err(|e| e.to_string())?;
     drive(session, &flags)
 }
 
@@ -126,10 +120,9 @@ fn drive(mut session: Session, flags: &RunFlags) -> Result<(), String> {
 
 fn cmd_serve<'a>(mut it: impl Iterator<Item = &'a str>) -> Result<(), String> {
     let addr = it.next().ok_or("serve needs an address (e.g. 127.0.0.1:9178)")?;
-    let flags = parse_flags(it)?;
-    if flags.save_at.is_some() {
-        return Err("--save-at only applies to run/resume".to_string());
+    if let Some(flag) = it.next() {
+        return Err(format!("unknown flag `{flag}`"));
     }
     eprintln!("openoptics-ctl: serving on {addr}");
-    openoptics_ctl::serve(addr, flags.workers).map_err(|e| format!("serving {addr}: {e}"))
+    openoptics_ctl::serve(addr).map_err(|e| format!("serving {addr}: {e}"))
 }

@@ -1000,21 +1000,7 @@ impl Scenario {
     /// inject the fault campaign. The returned network has not simulated
     /// anything yet.
     pub fn build(&self) -> Result<OpenOpticsNet, ScenarioError> {
-        self.build_with_workers(None)
-    }
-
-    /// Like [`Scenario::build`], overriding the configured worker count —
-    /// an execution knob only, deliberately kept out of the document so a
-    /// checkpoint taken at `--workers 4` restores byte-identically at
-    /// `--workers 1`.
-    pub fn build_with_workers(
-        &self,
-        workers: Option<usize>,
-    ) -> Result<OpenOpticsNet, ScenarioError> {
-        let mut cfg = self.config.clone();
-        if let Some(w) = workers {
-            cfg.workers = w;
-        }
+        let cfg = self.config.clone();
         let arch = self.architecture.build(&cfg)?;
         let (algo, lookup, multipath) = match &self.routing {
             Some(r) => r.build()?,

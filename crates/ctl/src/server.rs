@@ -14,6 +14,7 @@
 //! hold a warm baseline and several what-if branches at once.
 
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 
@@ -56,16 +57,17 @@ impl Subscriptions {
 /// document at a time and write back the response however they like.
 pub struct ControlPlane {
     sessions: BTreeMap<String, Session>,
-    workers: Option<usize>,
     shutdown: bool,
 }
 
 impl ControlPlane {
-    /// An empty control plane. `workers` overrides the worker count of
-    /// every session it deploys (checkpoints are unaffected; the override
-    /// is an execution knob only).
-    pub fn new(workers: Option<usize>) -> ControlPlane {
-        ControlPlane { sessions: BTreeMap::new(), workers, shutdown: false }
+    /// An empty control plane.
+    ///
+    /// The argument can only be `None`: the slot stays so that callers
+    /// written against the older `new(workers)` signature (the `perfbench`
+    /// harness among them) keep compiling, and it carries no value.
+    pub fn new(_: Option<Infallible>) -> ControlPlane {
+        ControlPlane { sessions: BTreeMap::new(), shutdown: false }
     }
 
     /// True once a `shutdown` request has been handled.
@@ -235,7 +237,7 @@ impl ControlPlane {
                     ScenarioError::new("params.checkpoint", "missing required field")
                 })?;
                 let ckpt = Checkpoint::from_json(doc)?;
-                let s = Session::restore(ckpt, self.workers)?;
+                let s = Session::restore(ckpt)?;
                 let result = now_obj(&s);
                 self.sessions.insert(name, s);
                 Ok(result)
@@ -272,7 +274,7 @@ impl ControlPlane {
             .get("scenario")
             .ok_or_else(|| ScenarioError::new("params.scenario", "missing required field"))?;
         let scenario = Scenario::from_json(doc)?;
-        let session = Session::with_workers(scenario, self.workers)?;
+        let session = Session::new(scenario)?;
         let result = Json::Obj(vec![
             ("now_ns".to_string(), Json::Num(session.now_ns() as f64)),
             ("stop_ns".to_string(), Json::Num(session.stop_ns() as f64)),
@@ -337,8 +339,8 @@ fn with_op(params: &Json, op: &str) -> Json {
 
 /// Bind `addr` and serve the control plane over TCP until a `shutdown`
 /// request arrives.
-pub fn serve(addr: &str, workers: Option<usize>) -> std::io::Result<()> {
-    serve_on(TcpListener::bind(addr)?, workers)
+pub fn serve(addr: &str) -> std::io::Result<()> {
+    serve_on(TcpListener::bind(addr)?, None)
 }
 
 /// Serve an already-bound listener until a `shutdown` request arrives.
@@ -349,8 +351,11 @@ pub fn serve(addr: &str, workers: Option<usize>) -> std::io::Result<()> {
 /// Connections are handled one at a time (the simulator is single-run
 /// deterministic state — concurrent mutation would be a bug, not a
 /// feature) and each connection may carry any number of request lines.
-pub fn serve_on(listener: TcpListener, workers: Option<usize>) -> std::io::Result<()> {
-    let mut cp = ControlPlane::new(workers);
+///
+/// The second argument can only be `None`; like [`ControlPlane::new`]'s,
+/// it is kept so callers of the older signature keep compiling.
+pub fn serve_on(listener: TcpListener, _: Option<Infallible>) -> std::io::Result<()> {
+    let mut cp = ControlPlane::new(None);
     for stream in listener.incoming() {
         let stream = stream?;
         // A client dropping mid-request or mid-stream is that client's

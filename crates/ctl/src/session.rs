@@ -6,8 +6,7 @@
 //! [`Session::checkpoint`] cheap and [`Session::restore`] exact: restore
 //! rebuilds the network from the embedded scenario and replays the journal
 //! through the same public API the live session used, so the restored
-//! engine is byte-identical to one that never stopped — at any worker
-//! count, because worker count never enters the document.
+//! engine is byte-identical to one that never stopped.
 
 use openoptics_core::OpenOpticsNet;
 use openoptics_proto::HostId;
@@ -25,19 +24,9 @@ pub struct Session {
 }
 
 impl Session {
-    /// Deploy a scenario with its configured worker count.
+    /// Deploy a scenario.
     pub fn new(scenario: Scenario) -> Result<Session, ScenarioError> {
-        Session::with_workers(scenario, None)
-    }
-
-    /// Deploy a scenario, optionally overriding the worker count. The
-    /// override is an execution knob only: it never enters checkpoints, so
-    /// documents saved at different worker counts are byte-identical.
-    pub fn with_workers(
-        scenario: Scenario,
-        workers: Option<usize>,
-    ) -> Result<Session, ScenarioError> {
-        let net = scenario.build_with_workers(workers)?;
+        let net = scenario.build()?;
         Ok(Session { scenario, net, journal: Vec::new() })
     }
 
@@ -156,8 +145,8 @@ impl Session {
     /// uninterrupted run exactly; continuing to any later time produces
     /// byte-identical exports. Restore cost is proportional to simulated
     /// time; see [`Session::fork`] for the O(state) in-memory alternative.
-    pub fn restore(ckpt: Checkpoint, workers: Option<usize>) -> Result<Session, ScenarioError> {
-        let mut s = Session::with_workers(ckpt.scenario, workers)?;
+    pub fn restore(ckpt: Checkpoint) -> Result<Session, ScenarioError> {
+        let mut s = Session::new(ckpt.scenario)?;
         for op in ckpt.journal {
             s.apply(op)?;
         }

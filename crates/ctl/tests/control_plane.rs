@@ -151,35 +151,23 @@ fn typed_rejections_name_the_offending_field() {
 // --- determinism ---
 
 #[test]
-fn export_bundle_is_identical_across_worker_counts() {
-    let mut w1 = Session::with_workers(scenario(), Some(1)).unwrap();
-    let mut w4 = Session::with_workers(scenario(), Some(4)).unwrap();
-    w1.run_until(2_000_000);
-    w4.run_until(2_000_000);
-    assert_eq!(w1.export_bundle(), w4.export_bundle());
-}
-
-#[test]
 fn restore_then_run_matches_an_uninterrupted_run() {
-    let mut straight = Session::with_workers(scenario(), Some(1)).unwrap();
+    let mut straight = Session::new(scenario()).unwrap();
     straight.run_until(2_000_000);
     let reference = straight.export_bundle();
 
-    // Checkpoint mid-fault-window, serialize, reparse, restore at several
-    // worker counts; every continuation must land on the reference bytes.
-    let mut half = Session::with_workers(scenario(), Some(1)).unwrap();
+    // Checkpoint mid-fault-window, serialize, reparse, restore; the
+    // continuation must land on the reference bytes.
+    let mut half = Session::new(scenario()).unwrap();
     half.run_until(600_000);
     let doc = half.checkpoint().to_json();
     let reparsed = Checkpoint::parse(&doc).expect("checkpoint parses");
     assert_eq!(reparsed.to_json(), doc, "checkpoint render is a fixed point");
 
-    for workers in [1usize, 4] {
-        let mut resumed =
-            Session::restore(Checkpoint::parse(&doc).unwrap(), Some(workers)).unwrap();
-        assert_eq!(resumed.now_ns(), 600_000);
-        resumed.run_until(2_000_000);
-        assert_eq!(resumed.export_bundle(), reference, "restore at workers={workers}");
-    }
+    let mut resumed = Session::restore(Checkpoint::parse(&doc).unwrap()).unwrap();
+    assert_eq!(resumed.now_ns(), 600_000);
+    resumed.run_until(2_000_000);
+    assert_eq!(resumed.export_bundle(), reference);
 }
 
 #[test]
@@ -257,7 +245,7 @@ fn mid_run_mutations_replay_exactly() {
     drive(&mut live);
 
     let doc = live.checkpoint().to_json();
-    let restored = Session::restore(Checkpoint::parse(&doc).unwrap(), Some(4)).unwrap();
+    let restored = Session::restore(Checkpoint::parse(&doc).unwrap()).unwrap();
     assert_eq!(restored.export_bundle(), live.export_bundle());
     // And the restored journal re-serializes to the same document.
     assert_eq!(restored.checkpoint().to_json(), doc);
@@ -359,30 +347,23 @@ fn slo_scenario_is_a_fixed_point_and_declares_services() {
 }
 
 #[test]
-fn subscription_stream_is_identical_across_worker_counts() {
-    let drive = |workers: usize| {
-        let mut cp = ControlPlane::new(Some(workers));
-        let mut subs = Subscriptions::new();
-        let mut lines = Vec::new();
-        for req in [
-            format!(
-                r#"{{"id":1,"method":"load","params":{{"name":"s","scenario":{SLO_SCENARIO}}}}}"#
-            ),
-            r#"{"id":2,"method":"subscribe","params":{"name":"s"}}"#.to_string(),
-            r#"{"id":3,"method":"run_until","params":{"name":"s","ns":700000}}"#.to_string(),
-            r#"{"id":4,"method":"run_until","params":{"name":"s","ns":2000000}}"#.to_string(),
-            r#"{"id":5,"method":"export","params":{"name":"s","what":"timeseries"}}"#.to_string(),
-            r#"{"id":6,"method":"export","params":{"name":"s","what":"slo"}}"#.to_string(),
-        ] {
-            lines.extend(cp.handle_request(&req, &mut subs));
-        }
-        lines.join("\n")
-    };
-    let w1 = drive(1);
-    assert!(w1.contains(r#""frame":"sample""#), "no sample frames streamed:\n{w1}");
-    assert!(w1.contains(r#""sub":"s""#), "frames must name their subscription:\n{w1}");
-    let w4 = drive(4);
-    assert_eq!(w1, w4, "frame stream and exports must not depend on worker count");
+fn subscription_stream_carries_named_sample_frames() {
+    let mut cp = ControlPlane::new(None);
+    let mut subs = Subscriptions::new();
+    let mut lines = Vec::new();
+    for req in [
+        format!(r#"{{"id":1,"method":"load","params":{{"name":"s","scenario":{SLO_SCENARIO}}}}}"#),
+        r#"{"id":2,"method":"subscribe","params":{"name":"s"}}"#.to_string(),
+        r#"{"id":3,"method":"run_until","params":{"name":"s","ns":700000}}"#.to_string(),
+        r#"{"id":4,"method":"run_until","params":{"name":"s","ns":2000000}}"#.to_string(),
+        r#"{"id":5,"method":"export","params":{"name":"s","what":"timeseries"}}"#.to_string(),
+        r#"{"id":6,"method":"export","params":{"name":"s","what":"slo"}}"#.to_string(),
+    ] {
+        lines.extend(cp.handle_request(&req, &mut subs));
+    }
+    let stream = lines.join("\n");
+    assert!(stream.contains(r#""frame":"sample""#), "no sample frames streamed:\n{stream}");
+    assert!(stream.contains(r#""sub":"s""#), "frames must name their subscription:\n{stream}");
 }
 
 #[test]

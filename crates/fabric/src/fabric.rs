@@ -141,25 +141,6 @@ impl Fabric {
         self.profile
     }
 
-    /// Conservative PDES lookahead (ns) for sharding a simulation of this
-    /// fabric into per-node domains (see `openoptics_sim::DomainScheduler`).
-    ///
-    /// Domains interact only through the optical fabric, so the minimum
-    /// simulated delay any cross-domain event carries is the one-way
-    /// transit latency plus the serialization floor `min_tx_ns` (the time
-    /// to put the smallest packet on an uplink — bandwidth lives with the
-    /// caller, not the fabric). The guardband does *not* raise this bound:
-    /// it only delays (or kills) sends that start inside it, and a
-    /// conservative lookahead is a minimum over all cross-domain paths,
-    /// including a send issued the instant the guardband ends. The result
-    /// is capped at one slice so an epoch never straddles a circuit
-    /// reconfiguration point — shrinking a lookahead is always safe.
-    pub fn conservative_lookahead_ns(&self, min_tx_ns: u64) -> u64 {
-        let cfg = self.schedule.slice_config();
-        let transit = self.profile.latency_ns().saturating_add(min_tx_ns);
-        transit.clamp(1, cfg.slice_ns)
-    }
-
     fn promote(&mut self, t: SimTime) {
         if let Some(p) = &self.pending {
             if t >= p.done {
@@ -354,26 +335,5 @@ mod tests {
         // t=0 would be "in guardband" for a rotating schedule, but a static
         // (1-slice) fabric never cycles.
         assert!(f.transit(NodeId(0), PortId(0), SimTime::ZERO).is_delivered());
-    }
-
-    #[test]
-    fn lookahead_is_min_cross_domain_delay_capped_at_a_slice() {
-        // Transit 50 ns + 12 ns serialization floor, under the 1000 ns slice.
-        let f = Fabric::new(rr2(), FabricProfile::RealOcs { propagation_ns: 50 }, 0);
-        assert_eq!(f.conservative_lookahead_ns(12), 62);
-        // Emulated fabric adds cut-through latency to the bound.
-        let f = Fabric::new(
-            rr2(),
-            FabricProfile::Emulated { propagation_ns: 50, cut_through_ns: 30 },
-            0,
-        );
-        assert_eq!(f.conservative_lookahead_ns(0), 80);
-        // A transit longer than the slice is capped: an epoch must not
-        // straddle a reconfiguration point.
-        let f = Fabric::new(rr2(), FabricProfile::RealOcs { propagation_ns: 5_000 }, 0);
-        assert_eq!(f.conservative_lookahead_ns(0), 1_000);
-        // Zero-latency profiles still yield a positive (1 ns) window.
-        let f = Fabric::new(rr2(), FabricProfile::RealOcs { propagation_ns: 0 }, 0);
-        assert_eq!(f.conservative_lookahead_ns(0), 1);
     }
 }

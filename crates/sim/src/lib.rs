@@ -18,8 +18,6 @@
 pub mod bytequeue;
 /// Checked narrowing conversions: [`cast::to_u32`] and friends.
 pub mod cast;
-/// Conservative-lookahead sharded execution: [`Domain`], [`DomainScheduler`].
-pub mod domain;
 pub mod engine;
 pub mod event;
 pub mod hash;
@@ -28,7 +26,6 @@ pub mod rng;
 pub mod time;
 
 pub use bytequeue::ByteQueue;
-pub use domain::{Domain, DomainScheduler, Outbox};
 pub use engine::{run, run_while, World};
 pub use event::{EventQueue, QueueStats};
 pub use rate::Bandwidth;

@@ -8,8 +8,8 @@
 //! only: the rendered series names live in one table shared by every row
 //! taken while the registry's series set stayed the same. Rows
 //! are rendered to JSON when they are read, with a stable field order, so
-//! the series and the frame stream are byte-identical at any
-//! `--jobs`/`--workers` count. Rows are immutable once recorded, so a fork
+//! the series and the frame stream are byte-identical at any `--jobs`
+//! count. Rows are immutable once recorded, so a fork
 //! shares them with its parent instead of copying the history.
 
 use std::borrow::Cow;

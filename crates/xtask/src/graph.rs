@@ -34,11 +34,6 @@ const KEYWORDS: &[&str] = &[
     "while",
 ];
 
-/// Call names whose argument expressions are captured verbatim — the
-/// domain-send soundness rule inspects `Outbox::send`'s fire-time
-/// argument structurally.
-const CAPTURE_ARGS: &[&str] = &["send"];
-
 /// One call site inside a function body.
 #[derive(Debug, Clone)]
 pub struct Call {
@@ -52,14 +47,8 @@ pub struct Call {
     /// Whether the call is a `.name(...)` method call.
     pub is_method: bool,
     /// For method calls, the receiver identifier directly before the `.`
-    /// (`out` in `out.send(..)`, `self` in `self.pump(..)`), when it is a
-    /// plain identifier.
+    /// (`self` in `self.pump(..)`), when it is a plain identifier.
     pub receiver: Option<String>,
-    /// Turbofish type argument when simple (`.sum::<f64>()` ⇒ `f64`).
-    pub turbofish: Option<String>,
-    /// Rendered top-level argument expressions, captured only for the
-    /// callee names in `CAPTURE_ARGS` (the domain-send rule's inputs).
-    pub args: Option<Vec<String>>,
 }
 
 impl Call {
@@ -102,7 +91,7 @@ pub struct FnDef {
     pub file: String,
     /// Function name.
     pub name: String,
-    /// Enclosing `impl`/`trait` type for methods (`Engine`, `Outbox`).
+    /// Enclosing `impl`/`trait` type for methods (`Engine`, `Session`).
     pub impl_type: Option<String>,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
@@ -429,43 +418,6 @@ fn scan_items(ex: &mut Extract<'_>, lo: usize, hi: usize, impl_type: Option<&str
     }
 }
 
-/// Render the tokens of one argument expression for structural checks.
-fn render_tokens(toks: &[Tok]) -> String {
-    let mut s = String::new();
-    for t in toks {
-        if !s.is_empty() {
-            s.push(' ');
-        }
-        s.push_str(&t.text);
-    }
-    s
-}
-
-/// Split a call's `(...)` argument tokens (exclusive of the outer parens)
-/// into rendered top-level argument expressions.
-fn split_args(toks: &[Tok], lo: usize, hi: usize) -> Vec<String> {
-    let mut args = Vec::new();
-    let mut depth = 0i64;
-    let mut start = lo;
-    let mut j = lo;
-    while j < hi {
-        let t = &toks[j];
-        if t.is_punct("(") || t.is_punct("[") || t.is_punct("{") {
-            depth += 1;
-        } else if t.is_punct(")") || t.is_punct("]") || t.is_punct("}") {
-            depth -= 1;
-        } else if depth == 0 && t.is_punct(",") {
-            args.push(render_tokens(&toks[start..j]));
-            start = j + 1;
-        }
-        j += 1;
-    }
-    if start < hi {
-        args.push(render_tokens(&toks[start..hi]));
-    }
-    args
-}
-
 /// Scan one function body for calls and path uses.
 fn scan_body(ex: &Extract<'_>, lo: usize, hi: usize, def: &mut FnDef) {
     let toks = ex.toks;
@@ -485,31 +437,18 @@ fn scan_body(ex: &Extract<'_>, lo: usize, hi: usize, def: &mut FnDef) {
             let receiver =
                 (i > lo && toks[i - 1].kind == Kind::Ident).then(|| toks[i - 1].text.clone());
             let mut j = i + 2;
-            let mut turbofish = None;
             if toks.get(j).is_some_and(|t| t.is_punct("::"))
                 && toks.get(j + 1).is_some_and(|t| t.is_punct("<"))
             {
-                // `end` is the index past `>`; a single-ident turbofish
-                // (`::<f64>`) spans exactly `< ident >`.
-                let end = skip_angles(toks, j + 1);
-                if end == j + 4 && toks[j + 2].kind == Kind::Ident {
-                    turbofish = Some(toks[j + 2].text.clone());
-                }
-                j = end;
+                j = skip_angles(toks, j + 1);
             }
             if toks.get(j).is_some_and(|t| t.is_punct("(")) {
-                let close = skip_group(toks, j, "(", ")");
-                let args = CAPTURE_ARGS
-                    .contains(&name.as_str())
-                    .then(|| split_args(toks, j + 1, close.saturating_sub(1)));
                 def.calls.push(Call {
                     line,
                     name: name.clone(),
                     path: vec![name],
                     is_method: true,
                     receiver,
-                    turbofish,
-                    args,
                 });
             }
             i = j;
@@ -520,7 +459,6 @@ fn scan_body(ex: &Extract<'_>, lo: usize, hi: usize, def: &mut FnDef) {
             let line = t.line;
             let mut path = vec![t.text.clone()];
             let mut j = i + 1;
-            let mut turbofish = None;
             loop {
                 if toks.get(j).is_some_and(|t| t.is_punct("::")) {
                     if toks.get(j + 1).is_some_and(|t| t.kind == Kind::Ident) {
@@ -529,11 +467,7 @@ fn scan_body(ex: &Extract<'_>, lo: usize, hi: usize, def: &mut FnDef) {
                         continue;
                     }
                     if toks.get(j + 1).is_some_and(|t| t.is_punct("<")) {
-                        let end = skip_angles(toks, j + 1);
-                        if end == j + 4 && toks[j + 2].kind == Kind::Ident {
-                            turbofish = Some(toks[j + 2].text.clone());
-                        }
-                        j = end;
+                        j = skip_angles(toks, j + 1);
                         continue;
                     }
                 }
@@ -548,20 +482,8 @@ fn scan_body(ex: &Extract<'_>, lo: usize, hi: usize, def: &mut FnDef) {
             let is_macro = toks.get(j).is_some_and(|t| t.is_punct("!"));
             let is_call = !is_macro && toks.get(j).is_some_and(|t| t.is_punct("("));
             if is_call {
-                let close = skip_group(toks, j, "(", ")");
                 let name = path.last().cloned().unwrap_or_default();
-                let args = CAPTURE_ARGS
-                    .contains(&name.as_str())
-                    .then(|| split_args(toks, j + 1, close.saturating_sub(1)));
-                def.calls.push(Call {
-                    line,
-                    name,
-                    path,
-                    is_method: false,
-                    receiver: None,
-                    turbofish,
-                    args,
-                });
+                def.calls.push(Call { line, name, path, is_method: false, receiver: None });
             } else if path.len() >= 2 {
                 def.paths.push(PathUse { line, path });
             }
@@ -599,15 +521,14 @@ mod tests {
         let send = fns[0].calls.iter().find(|c| c.name == "send").expect("send call extracted");
         assert!(send.is_method);
         assert_eq!(send.receiver.as_deref(), Some("out"));
-        assert_eq!(send.args.as_deref(), Some(&["0".into(), "now".into(), "ev".into()][..]));
     }
 
     #[test]
     fn trait_impls_resolve_the_self_type() {
-        let fns = ex("impl Domain for Ring {\n    fn handle(&mut self) { go(); }\n}\n\
-                      impl<E> Outbox<E> {\n    fn send(&mut self) {}\n}\n");
+        let fns = ex("impl Handler for Ring {\n    fn handle(&mut self) { go(); }\n}\n\
+                      impl<E> Queue<E> {\n    fn send(&mut self) {}\n}\n");
         assert_eq!(fns[0].impl_type.as_deref(), Some("Ring"));
-        assert_eq!(fns[1].impl_type.as_deref(), Some("Outbox"));
+        assert_eq!(fns[1].impl_type.as_deref(), Some("Queue"));
     }
 
     #[test]
@@ -638,13 +559,6 @@ mod tests {
         let fns = ex("use std::sync::atomic::Ordering;\nfn f(x: &AtomicU64) { x.store(1, Ordering::Relaxed); }\n");
         let uses: Vec<String> = fns[0].paths.iter().map(PathUse::joined).collect();
         assert!(uses.contains(&"std::sync::atomic::Ordering::Relaxed".to_string()), "{uses:?}");
-    }
-
-    #[test]
-    fn turbofish_reductions_are_captured() {
-        let fns = ex("fn f(v: &[f64]) -> f64 { v.iter().sum::<f64>() }\n");
-        let sum = fns[0].calls.iter().find(|c| c.name == "sum").expect("sum call");
-        assert_eq!(sum.turbofish.as_deref(), Some("f64"));
     }
 
     #[test]

@@ -20,12 +20,6 @@
 //! * **relaxed-ordering** — `Ordering::Relaxed` is banned on cross-thread
 //!   counters; use acquire/release orderings so counter reads in the
 //!   parallel runner are well-defined at any `--jobs` count.
-//! * **shared-mutable** — `Mutex`/`RwLock`/`RefCell` are banned in the
-//!   sim-path crates' domain-execution modules (`domain.rs`, `engine.rs`,
-//!   `event.rs`, `net.rs`): the sharded engine is deterministic *because*
-//!   domains share nothing and exchange state only as outbox messages
-//!   merged in `(time, src, seq)` order at the epoch barrier; a lock would
-//!   let wall-clock scheduling order back into simulated state.
 //! * **arch-compose** — `DispatchPolicy`/`PauseMode` may only be assigned
 //!   inside the Architecture descriptor module (`crates/core/src/arch.rs`):
 //!   everything else composes via `Architecture::with_dispatch` /
@@ -65,8 +59,7 @@
 //! lexer ([`lex`]) and item/call extractor ([`graph`]) build a cross-crate
 //! call graph, and [`taint`] runs reachability from sim-path entry points
 //! to nondeterminism sources (**graph-nondet**), reporting each hit as a
-//! full call chain, plus the structural **domain-send** fire-time check on
-//! `Outbox::send` sites. `--json` renders findings machine-readable;
+//! full call chain. `--json` renders findings machine-readable;
 //! `--explain <rule>` prints the rationale for any rule.
 //!
 //! Any rule can be suppressed for one line with a justification:
@@ -106,14 +99,6 @@ pub const SIM_PATH_CRATES: &[&str] = &[
     "openoptics-obs",
     "openoptics-ctl",
 ];
-
-/// Domain-execution modules of the sim-path crates: the files that run
-/// inside (or drive) the sharded engine's epoch loop. Shared-mutability
-/// primitives are banned here — domains communicate by message passing
-/// (outboxes merged at the epoch barrier), never through locks, so worker
-/// scheduling can never influence simulated state.
-pub const DOMAIN_EXECUTION_MODULES: &[&str] =
-    &["src/domain.rs", "src/engine.rs", "src/event.rs", "src/net.rs"];
 
 /// Bool-returning name prefixes that are idiomatic predicates, exempt from
 /// the `bool-api` rule.
@@ -473,26 +458,6 @@ pub fn lint_file(ctx: &FileCtx<'_>, content: &str) -> (Vec<Finding>, Budget) {
                         .into(),
                 );
             }
-        }
-
-        // shared-mutable: the sharded engine's determinism argument rests
-        // on domains exchanging state only through outbox messages merged
-        // at the epoch barrier. A lock or interior-mutability cell in a
-        // domain-execution module reintroduces scheduling-order-dependent
-        // state, the exact failure mode the design rules out.
-        if sim_path
-            && !is_test
-            && DOMAIN_EXECUTION_MODULES.iter().any(|m| ctx.rel_path.ends_with(m))
-            && (code.contains("Mutex") || code.contains("RwLock") || code.contains("RefCell"))
-        {
-            flag(
-                &mut findings,
-                idx,
-                "shared-mutable",
-                "Mutex/RwLock/RefCell in a domain-execution module; domains communicate \
-                 by message passing (Outbox merged at the epoch barrier) only"
-                    .into(),
-            );
         }
 
         // relaxed-ordering: cross-thread counters need acquire/release.
@@ -1221,7 +1186,7 @@ pub fn run_lint(root: &Path, update: bool) -> std::io::Result<LintOutcome> {
 /// Run the flow-aware (oolint v2) pass over the workspace rooted at
 /// `root`: lex and extract every first-party crate's library sources into
 /// a cross-crate call graph, then apply the `graph-nondet` taint
-/// reachability and `domain-send` structural rules. Test/bench/example
+/// reachability rule. Test/bench/example
 /// code is excluded — the graph models the shipped sim path.
 pub fn run_graph_lint(root: &Path) -> std::io::Result<Vec<Finding>> {
     let mut ws = taint::TaintWorkspace::default();
@@ -1255,7 +1220,6 @@ pub fn run_graph_lint(root: &Path) -> std::io::Result<Vec<Finding>> {
 
     let idx = taint::Index::build(&ws.fns);
     let mut findings = taint::taint_findings(&ws, &idx);
-    findings.extend(taint::domain_send_findings(&ws, &idx));
     findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     Ok(findings)
 }
@@ -1279,12 +1243,6 @@ pub const RULE_EXPLANATIONS: &[(&str, &str)] = &[
         "relaxed-ordering",
         "Ordering::Relaxed gives no inter-thread ordering: counter reads in the parallel \
          runner would be schedule-dependent. Use Acquire/Release/AcqRel.",
-    ),
-    (
-        "shared-mutable",
-        "Mutex/RwLock/RefCell in a domain-execution module lets wall-clock scheduling \
-         order back into simulated state. Domains exchange state only as Outbox messages \
-         merged in (time, src, seq) order at the epoch barrier.",
     ),
     (
         "arch-compose",
@@ -1328,21 +1286,11 @@ pub const RULE_EXPLANATIONS: &[(&str, &str)] = &[
     (
         "graph-nondet",
         "Flow-aware taint reachability over the cross-crate call graph: no call chain \
-         from a sim-path entry point (engine run loops, DomainScheduler epoch execution, \
-         deploy/reconfigure, fault injection) may reach a nondeterminism source (wall \
-         clock, OS RNG, std HashMap/HashSet, Ordering::Relaxed, thread-id/env/fs reads, \
-         float reductions in the parallel merge). Violations print the full chain; \
+         from a sim-path entry point (engine run loops, deploy/reconfigure, fault \
+         injection, control-plane sessions) may reach a nondeterminism source (wall \
+         clock, OS RNG, std HashMap/HashSet, Ordering::Relaxed, thread-id/env/fs reads). \
+         Violations print the full chain; \
          `// oolint: allow(graph-nondet, why)` is honored at any hop.",
-    ),
-    (
-        "domain-send",
-        "Cross-domain emission must go through Outbox::send with a fire time provably \
-         at or after the epoch lookahead bound — the conservative-PDES contract the \
-         sharded engine's determinism rests on. The fire-time argument must reference \
-         the epoch bound (epoch_end/lookahead) or be `now + <physical delay>`; anything \
-         else needs `// oolint: allow(domain-send, why)`. This is the static counterpart \
-         of the strict-invariants runtime assert, which only catches violations a given \
-         seed happens to trigger.",
     ),
 ];
 
@@ -1452,33 +1400,6 @@ mod tests {
         let (f, _) = lint_file(&ctx("openoptics-bench", "a.rs"), src);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "relaxed-ordering");
-    }
-
-    #[test]
-    fn shared_mutable_flagged_in_domain_execution_modules() {
-        let src = "let m = std::sync::Mutex::new(0);\n";
-        let (f, _) = lint_file(&ctx("openoptics-sim", "crates/sim/src/domain.rs"), src);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, "shared-mutable");
-        let (f, _) = lint_file(&ctx("openoptics-core", "crates/core/src/engine.rs"), src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        // RefCell counts too.
-        let (f, _) = lint_file(
-            &ctx("openoptics-sim", "crates/sim/src/event.rs"),
-            "use std::cell::RefCell;\n",
-        );
-        assert_eq!(f.len(), 1);
-        // Other modules of sim-path crates are out of scope.
-        let (f, _) = lint_file(&ctx("openoptics-sim", "crates/sim/src/rate.rs"), src);
-        assert!(f.is_empty(), "{f:?}");
-        // Non-sim-path crates (the bench harness pools results in locks).
-        let (f, _) = lint_file(&ctx("openoptics-bench", "crates/bench/src/par.rs"), src);
-        assert!(f.is_empty(), "{f:?}");
-        // A justified allow suppresses it.
-        let ok = "let m = std::sync::Mutex::new(0); \
-                  // oolint: allow(shared-mutable, merge point outside the epoch loop)\n";
-        let (f, _) = lint_file(&ctx("openoptics-sim", "crates/sim/src/domain.rs"), ok);
-        assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Taint reachability over the cross-crate call graph: the `graph-nondet`
-//! and `domain-send` rules of `oolint --graph`.
+//! rule of `oolint --graph`.
 //!
 //! # graph-nondet
 //!
@@ -8,25 +8,12 @@
 //! point reach a nondeterminism source through any chain of first-party
 //! calls?** Entry points are the functions the experiment harness drives
 //! ([`ENTRY_POINTS`]); sources are wall-clock reads, OS randomness,
-//! `std::collections` hash iteration, `Ordering::Relaxed`, thread-id /
-//! env / filesystem reads, and float reductions inside the parallel-merge
-//! modules. Every violation is reported as a full call chain
+//! `std::collections` hash iteration, `Ordering::Relaxed`, and thread-id /
+//! env / filesystem reads. Every violation is reported as a full call chain
 //! (`core/net.rs:run_for → workload/gen.rs:jitter →
 //! std::time::Instant::now`), and an `// oolint: allow(graph-nondet,
 //! reason)` annotation on *any hop* — the call line of an edge or the
 //! source line itself — suppresses the chains through it.
-//!
-//! # domain-send
-//!
-//! Cross-domain event emission must flow through `Outbox::send` with a
-//! fire time provably at or after the epoch lookahead bound — that is the
-//! conservative-PDES contract the sharded engine's determinism rests on.
-//! The runtime assert (strict-invariants) only catches violations a given
-//! seed happens to trigger; this is the structural check on the send
-//! sites: the fire-time argument must reference the epoch bound
-//! (`epoch_end`, `lookahead`) or be `now + <delay>` where the delay names
-//! a physical latency (`delay`/`latency`/`guard`/`transit`/`slice`).
-//! Anything else needs an `// oolint: allow(domain-send, reason)`.
 //!
 //! # Honest limitations
 //!
@@ -40,7 +27,7 @@
 
 use crate::graph::{Call, FnDef};
 use crate::lex::Lexed;
-use crate::{allow_in, Finding, DOMAIN_EXECUTION_MODULES, SIM_PATH_CRATES};
+use crate::{allow_in, Finding, SIM_PATH_CRATES};
 use std::collections::BTreeMap;
 
 /// Per-line comment and code maps of one file, kept after token extraction
@@ -249,9 +236,6 @@ pub enum SourceKind {
     EnvRead,
     /// `std::fs` reads (host state).
     FsRead,
-    /// Float `sum`/`product` reductions inside domain-execution modules,
-    /// where merge order could vary with the worker count.
-    FloatReduce,
 }
 
 impl SourceKind {
@@ -265,19 +249,12 @@ impl SourceKind {
             SourceKind::ThreadId => "thread-id",
             SourceKind::EnvRead => "env-read",
             SourceKind::FsRead => "fs-read",
-            SourceKind::FloatReduce => "float-reduce",
         }
     }
 }
 
-/// Whether `file` is a domain-execution module (the sharded engine's
-/// epoch-loop files).
-fn is_domain_module(file: &str) -> bool {
-    DOMAIN_EXECUTION_MODULES.iter().any(|m| file.ends_with(m))
-}
-
 /// Source classification of an *unresolved* (external) call.
-fn call_source(call: &Call, file: &str) -> Option<(SourceKind, String)> {
+fn call_source(call: &Call) -> Option<(SourceKind, String)> {
     let p = call.joined();
     let name = call.name.as_str();
     if p.ends_with("Instant::now") || p.ends_with("SystemTime::now") {
@@ -304,19 +281,6 @@ fn call_source(call: &Call, file: &str) -> Option<(SourceKind, String)> {
     }
     if p.contains("std::fs::") {
         return Some((SourceKind::FsRead, p));
-    }
-    if call.is_method
-        && matches!(name, "sum" | "product")
-        && matches!(call.turbofish.as_deref(), Some("f32") | Some("f64"))
-        && is_domain_module(file)
-    {
-        return Some((
-            SourceKind::FloatReduce,
-            format!(
-                ".{name}::<{}>() in a domain-execution module",
-                call.turbofish.as_deref().unwrap_or("")
-            ),
-        ));
     }
     None
 }
@@ -346,7 +310,7 @@ pub struct EntryPoint {
     pub fn_name: &'static str,
 }
 
-/// The sim-path entry points: the engine hot loops, epoch execution,
+/// The sim-path entry points: the engine hot loops,
 /// deployment/reconfiguration, and fault campaign scheduling. A stale
 /// entry (renamed or removed function) is itself a finding so this table
 /// can never silently rot.
@@ -393,11 +357,6 @@ pub const ENTRY_POINTS: &[EntryPoint] = &[
     },
     EntryPoint { crate_name: "openoptics-sim", type_name: None, fn_name: "run" },
     EntryPoint { crate_name: "openoptics-sim", type_name: None, fn_name: "run_while" },
-    EntryPoint {
-        crate_name: "openoptics-sim",
-        type_name: Some("DomainScheduler"),
-        fn_name: "run_until",
-    },
     // The control plane drives runs on users' behalf; everything a session
     // can do to an engine must stay on the deterministic path.
     EntryPoint { crate_name: "openoptics-ctl", type_name: Some("Session"), fn_name: "run_until" },
@@ -498,7 +457,7 @@ pub fn taint_findings(ws: &TaintWorkspace, idx: &Index) -> Vec<Finding> {
         for call in &f.calls {
             let targets = resolve(ws, idx, f, call);
             if targets.is_empty() {
-                if let Some((kind, label)) = call_source(call, &f.file) {
+                if let Some((kind, label)) = call_source(call) {
                     hits.push((call.line, kind, label));
                 }
                 continue;
@@ -591,79 +550,6 @@ fn render_chain(
     hops.join(" \u{2192} ")
 }
 
-/// Names that mark a fire-time expression as referencing the epoch bound
-/// or a physical delay at least as large as the lookahead.
-const SOUND_DELAY_HINTS: &[&str] =
-    &["epoch_end", "lookahead", "delay", "latency", "guard", "transit", "slice", "propagation"];
-
-/// Structural soundness check on `Outbox::send` fire times: the
-/// `domain-send` rule. See the module docs for the contract.
-pub fn domain_send_findings(ws: &TaintWorkspace, idx: &Index) -> Vec<Finding> {
-    const RULE: &str = "domain-send";
-    let mut findings = Vec::new();
-    let outbox_send: Vec<usize> = idx.type_method("Outbox", "send").to_vec();
-    if outbox_send.is_empty() {
-        return findings;
-    }
-    for f in &ws.fns {
-        if !SIM_PATH_CRATES.contains(&f.crate_name.as_str()) {
-            continue;
-        }
-        for call in &f.calls {
-            if call.name != "send" || !call.is_method {
-                continue;
-            }
-            let targets = resolve(ws, idx, f, call);
-            let hits_outbox = targets.iter().any(|t| outbox_send.contains(t));
-            let receiver_is_outbox = call
-                .receiver
-                .as_deref()
-                .is_some_and(|r| r == "out" || r.contains("outbox") || r.contains("mailbox"));
-            // Only sites that are recognizably Outbox sends: resolution
-            // must reach Outbox::send, and either uniquely or with a
-            // receiver that names the outbox (ambiguity escape for other
-            // first-party `.send(..)` APIs like the host VMA stack).
-            if !hits_outbox || !(receiver_is_outbox || targets.len() == outbox_send.len()) {
-                continue;
-            }
-            match ws.allow_at(&f.file, call.line, RULE) {
-                Some(true) => continue,
-                Some(false) => {
-                    findings.push(Finding {
-                        file: f.file.clone(),
-                        line: call.line as usize,
-                        rule: RULE,
-                        msg: format!("allow({RULE}) annotation needs a justification"),
-                    });
-                    continue;
-                }
-                None => {}
-            }
-            let at = call.args.as_ref().and_then(|a| a.get(1).cloned()).unwrap_or_default();
-            let lower = at.to_lowercase();
-            let sound = SOUND_DELAY_HINTS.iter().any(|h| lower.contains(h))
-                && (lower.contains("epoch_end")
-                    || lower.contains("lookahead")
-                    || lower.contains('+'));
-            if !sound {
-                findings.push(Finding {
-                    file: f.file.clone(),
-                    line: call.line as usize,
-                    rule: RULE,
-                    msg: format!(
-                        "cross-domain send in {} fires at `{at}`, which does not provably \
-                         reach the epoch lookahead bound; use `now + <physical delay>` \
-                         (delay/latency/propagation/…), reference the epoch bound \
-                         explicitly, or justify with `// oolint: allow({RULE}, why)`",
-                        qualified(f),
-                    ),
-                });
-            }
-        }
-    }
-    findings
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -698,9 +584,7 @@ mod tests {
             core.push_str(&format!("    pub fn {f}(&mut self) {{ self.run_for_inner(); }}\n"));
         }
         core.push_str("    fn run_for_inner(&mut self) {}\n}\n");
-        let sim = "pub fn run() {}\npub fn run_while() {}\n\
-                   impl DomainScheduler {\n    pub fn run_until(&mut self) {}\n}\n"
-            .to_string();
+        let sim = "pub fn run() {}\npub fn run_while() {}\n".to_string();
         let ctl = "impl Session {\n    pub fn run_until(&mut self) {}\n    \
                    pub fn apply(&mut self) {}\n    pub fn restore() {}\n}\n\
                    impl ControlPlane {\n    pub fn handle_request(&mut self) {}\n    \
@@ -708,7 +592,7 @@ mod tests {
             .to_string();
         vec![
             ("openoptics-core", "crates/core/src/net.rs", core),
-            ("openoptics-sim", "crates/sim/src/domain.rs", sim),
+            ("openoptics-sim", "crates/sim/src/engine.rs", sim),
             ("openoptics-ctl", "crates/ctl/src/session.rs", ctl),
         ]
     }
@@ -802,30 +686,5 @@ mod tests {
             f.iter().any(|f| f.msg.contains("entry point") && f.msg.contains("run_for")),
             "{f:?}"
         );
-    }
-
-    #[test]
-    fn domain_send_checks_fire_time_structure() {
-        let src = "impl Outbox {\n    pub fn send(&mut self, dst: usize, at: SimTime, ev: u64) {}\n}\n\
-                   impl Ring {\n\
-                   fn good(&self, out: &mut Outbox, now: SimTime) { out.send(1, now + self.delay_ns, 7); }\n\
-                   fn bound(&self, out: &mut Outbox, epoch_end: SimTime) { out.send(1, epoch_end, 7); }\n\
-                   fn bad(&self, out: &mut Outbox, now: SimTime) { out.send(1, now, 7); }\n\
-                   fn excused(&self, out: &mut Outbox, now: SimTime) {\n\
-                       // oolint: allow(domain-send, delivery at the barrier is re-sorted)\n\
-                       out.send(1, now, 7);\n\
-                   }\n}\n";
-        let (ws, idx) = ws_of(&[("openoptics-sim", "crates/sim/src/domain.rs", src)]);
-        let f = domain_send_findings(&ws, &idx);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].msg.contains("`now`"), "{}", f[0].msg);
-    }
-
-    #[test]
-    fn domain_send_ignores_other_send_apis() {
-        let src = "impl VmaStack {\n    pub fn send(&mut self, dst: u32, seg: u64) {}\n}\n\
-                   fn pump(vma: &mut VmaStack) { vma.send(1, 2); }\n";
-        let (ws, idx) = ws_of(&[("openoptics-host", "crates/host/src/vma.rs", src)]);
-        assert!(domain_send_findings(&ws, &idx).is_empty());
     }
 }

@@ -69,16 +69,6 @@ fn suppression_is_honored_at_call_hop_and_at_source() {
 }
 
 #[test]
-fn domain_send_flags_only_the_unsound_fire_time() {
-    let findings = graph_findings();
-    let sends: Vec<_> = findings.iter().filter(|f| f.rule == "domain-send").collect();
-    assert_eq!(sends.len(), 1, "only `broken` fires at now with no margin: {findings:?}");
-    assert!(sends[0].file.ends_with("sim/src/domain.rs"), "{}", sends[0].file);
-    assert!(sends[0].msg.contains("`now`"), "{}", sends[0].msg);
-    assert!(sends[0].msg.contains("Ring::broken"), "{}", sends[0].msg);
-}
-
-#[test]
 fn entry_point_table_resolves_against_the_fixture() {
     let findings = graph_findings();
     assert!(

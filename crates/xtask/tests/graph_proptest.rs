@@ -92,11 +92,7 @@ fn run_model(m: &Model) -> Vec<xtask::Finding> {
     w("crates/sim/Cargo.toml", "[package]\nname = \"openoptics-sim\"\n");
     // Entry stubs so the hardcoded entry table fully resolves; run_for
     // enters the generated DAG at f_0.
-    w(
-        "crates/sim/src/domain.rs",
-        "pub fn run() {}\npub fn run_while() {}\n\
-         pub struct DomainScheduler;\nimpl DomainScheduler { pub fn run_until(&mut self) {} }\n",
-    );
+    w("crates/sim/src/engine.rs", "pub fn run() {}\npub fn run_while() {}\n");
     w("crates/ctl/Cargo.toml", "[package]\nname = \"openoptics-ctl\"\n");
     w(
         "crates/ctl/src/session.rs",

@@ -34,10 +34,21 @@ fn memcached_tm() -> TrafficMatrix {
 
 fn main() {
     let nets: Vec<(&str, OpenOpticsNet)> = vec![
-        ("clos", archs::clos(cfg()).expect("clos deploys")),
-        ("c-through", archs::cthrough(cfg(), &memcached_tm()).expect("c-through deploys")),
-        ("rotornet", archs::rotornet(cfg()).expect("rotornet deploys")),
-        ("opera", archs::opera(cfg()).expect("opera deploys")),
+        ("clos", OpenOpticsNet::deploy_preset(cfg(), Architecture::clos()).expect("clos deploys")),
+        (
+            "c-through",
+            OpenOpticsNet::deploy_preset(cfg(), Architecture::cthrough(&memcached_tm()))
+                .expect("c-through deploys"),
+        ),
+        (
+            "rotornet",
+            OpenOpticsNet::deploy_preset(cfg(), Architecture::rotornet())
+                .expect("rotornet deploys"),
+        ),
+        (
+            "opera",
+            OpenOpticsNet::deploy_preset(cfg(), Architecture::opera()).expect("opera deploys"),
+        ),
     ];
 
     println!("{:<12} {:>10} {:>10} {:>10} {:>8}", "arch", "p50", "p90", "p99", "ops");

@@ -27,11 +27,15 @@ fn main() {
                 .guard_ns(dev.guardband_ns())
                 .build()
                 .expect("catalog devices yield valid configs");
-            let mut net = if routing == "VLB" {
-                archs::rotornet_with(cfg, Vlb, MultipathMode::PerPacket)
-            } else {
-                archs::rotornet_with(cfg, Ucmp::default(), MultipathMode::PerPacket)
-            }
+            let algo: Box<dyn RoutingAlgorithm> =
+                if routing == "VLB" { Box::new(Vlb) } else { Box::new(Ucmp::default()) };
+            let mut net = OpenOpticsNet::deploy(
+                cfg,
+                Architecture::rotornet(),
+                algo,
+                LookupMode::PerHop,
+                MultipathMode::PerPacket,
+            )
             .expect("rotornet deploys");
             let clients = (1..8).map(HostId).collect();
             net.add_memcached(MemcachedParams::paper(), HostId(0), clients, SimTime::from_ms(20));

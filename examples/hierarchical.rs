@@ -40,11 +40,15 @@ fn core_conf() -> NetConfig {
 fn main() {
     // for rack in net.nodes: rack.deploy_topo(round_robin(...)); vlb(...)
     let mut racks: Vec<OpenOpticsNet> = (0..core_conf().node_num)
-        .map(|_| archs::rotornet(rack_conf()).expect("rotornet deploys"))
+        .map(|_| {
+            OpenOpticsNet::deploy_preset(rack_conf(), Architecture::rotornet())
+                .expect("rotornet deploys")
+        })
         .collect();
 
     // Core inter-rack network: Jupiter-style evolving mesh with WCMP.
-    let mut core = archs::jupiter(core_conf()).expect("jupiter deploys");
+    let mut core = OpenOpticsNet::deploy_preset(core_conf(), Architecture::jupiter())
+        .expect("jupiter deploys");
 
     // Workload: an all-to-all burst inside rack 0 (scale-up traffic) and
     // rack-to-rack shuffles on the core (scale-out traffic).

@@ -47,7 +47,8 @@ fn mean_fct_us(fct: &FctStats, lo: u64, hi: u64) -> f64 {
 
 fn main() {
     // Phase 1: plain round robin + VLB (pure TO).
-    let mut plain = archs::rotornet(cfg()).expect("rotornet deploys");
+    let mut plain =
+        OpenOpticsNet::deploy_preset(cfg(), Architecture::rotornet()).expect("rotornet deploys");
     attach_workload(&mut plain, 20);
     // Collect the TM while running — the paper's `net.collect("10min")`.
     let tm: TrafficMatrix = plain.collect(SimTime::from_ms(25));
@@ -55,7 +56,8 @@ fn main() {
     println!("observed hotspot demand 0<->1: {:.1} MB", tm.pair_demand(NodeId(0), NodeId(1)) / 1e6);
 
     // Phase 2: redeploy with a skewed schedule reflecting the TM.
-    let mut skewed = archs::semi_oblivious(cfg(), &tm, 4).expect("semi-oblivious deploys");
+    let mut skewed = OpenOpticsNet::deploy_preset(cfg(), Architecture::semi_oblivious(&tm, 4))
+        .expect("semi-oblivious deploys");
     attach_workload(&mut skewed, 20);
     skewed.run_for(SimTime::from_ms(25));
     let skewed_hot = mean_fct_us(skewed.fct(), 400_000, u64::MAX);

@@ -4,11 +4,10 @@
 //! sim time in eight increments — each step's `sample`/`slo`/`flight`
 //! delta frames stream before the response on the same turn. Finishes
 //! with the per-service SLO report. Everything printed is sim-time
-//! stamped, so the full stdout is byte-identical at any worker count —
-//! CI runs this twice (workers 1 vs 4, plain and strict-invariants
-//! builds) and compares.
+//! stamped, so the full stdout is byte-identical from run to run — CI
+//! compares the plain and strict-invariants builds' streams.
 //!
-//! Run with: `cargo run --example subscribe_stream [workers]`
+//! Run with: `cargo run --example subscribe_stream`
 
 use openoptics::ctl::{ControlPlane, Subscriptions};
 
@@ -16,8 +15,7 @@ use openoptics::ctl::{ControlPlane, Subscriptions};
 const SCENARIO: &str = include_str!("scenarios/slo_live.json");
 
 fn main() {
-    let workers = std::env::args().nth(1).and_then(|v| v.parse::<usize>().ok());
-    let mut cp = ControlPlane::new(workers);
+    let mut cp = ControlPlane::new(None);
     let mut subs = Subscriptions::new();
 
     let load = cp.handle_request(

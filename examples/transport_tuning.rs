@@ -63,7 +63,11 @@ fn run_tdtcp(name: &str, mut net: openoptics::core::OpenOpticsNet) {
 fn main() {
     println!("iperf TCP over optical DCNs (paper Fig. 9)\n");
     for dupack in [3u32, 5] {
-        run("clos", archs::clos(cfg()).expect("clos deploys"), dupack);
+        run(
+            "clos",
+            OpenOpticsNet::deploy_preset(cfg(), Architecture::clos()).expect("clos deploys"),
+            dupack,
+        );
 
         let mut direct_cfg = cfg();
         direct_cfg.congestion_policy = "wait".to_string();
@@ -79,7 +83,14 @@ fn main() {
 
         run(
             "rotornet-vlb",
-            archs::rotornet_with(cfg(), Vlb, MultipathMode::PerPacket).expect("rotornet deploys"),
+            OpenOpticsNet::deploy(
+                cfg(),
+                Architecture::rotornet(),
+                Box::new(Vlb),
+                LookupMode::PerHop,
+                MultipathMode::PerPacket,
+            )
+            .expect("rotornet deploys"),
             dupack,
         );
 

@@ -11,7 +11,7 @@
 //! scenarios.
 
 /// The programming model: `NetConfig`, `OpenOpticsNet` (Table-1 API), the
-/// packet-level engine, and preset architectures (`archs`).
+/// packet-level engine, and architecture descriptors (`Architecture`).
 pub use openoptics_core as core;
 /// Control plane: scenario files, the JSON-RPC server, and deterministic
 /// checkpoint/restore (see GUIDE.md).
@@ -60,10 +60,10 @@ pub use openoptics_workload as workload;
 /// ```
 pub mod prelude {
     pub use openoptics_core::{
-        archs, check_compat, ArchClass, Architecture, ConfigError, DeployError, DispatchPolicy,
-        Error, FaultCounters, FaultError, FaultKind, FaultPlan, FaultPlanBuilder, FaultReport,
-        FaultSpec, NetConfig, NetConfigBuilder, OpenOpticsNet, PauseMode, RoutingChoice,
-        ScheduleGen, TransportKind,
+        check_compat, ArchClass, Architecture, ConfigError, DeployError, DispatchPolicy, Error,
+        FaultCounters, FaultError, FaultKind, FaultPlan, FaultPlanBuilder, FaultReport, FaultSpec,
+        NetConfig, NetConfigBuilder, OpenOpticsNet, PauseMode, RoutingChoice, ScheduleGen,
+        TransportKind,
     };
     pub use openoptics_fabric::Circuit;
     pub use openoptics_host::apps::MemcachedParams;

@@ -2,7 +2,7 @@
 //! every routing scheme through `OpenOpticsNet::deploy`. Each pairing
 //! either deploys or is rejected with a typed `Error::Config` — never a
 //! panic, never a silently-wrong table — and deployed networks export
-//! byte-identically at any intra-run worker count.
+//! byte-identically for the same seed.
 
 use openoptics::prelude::*;
 use openoptics::routing::algos::{Ecmp, Hoho, Ksp, OperaRouting, Ucmp, Wcmp};
@@ -12,7 +12,7 @@ const ARCHS: &[&str] =
     &["clos", "cthrough", "jupiter", "mordia", "rotornet", "opera", "shale", "semi_oblivious"];
 const ALGOS: &[&str] = &["direct", "ecmp", "wcmp", "ksp", "vlb", "ucmp", "opera", "hoho"];
 
-fn cfg(seed: u64, workers: usize) -> NetConfig {
+fn cfg(seed: u64) -> NetConfig {
     NetConfig {
         node_num: 8,
         uplink: 1,
@@ -21,7 +21,6 @@ fn cfg(seed: u64, workers: usize) -> NetConfig {
         guard_ns: 1_000,
         sync_err_ns: 0,
         seed,
-        workers,
         ..Default::default()
     }
 }
@@ -60,9 +59,9 @@ fn routing_for(name: &str) -> (Box<dyn RoutingAlgorithm>, LookupMode, MultipathM
     }
 }
 
-fn deploy(arch: &str, algo: &str, seed: u64, workers: usize) -> Result<OpenOpticsNet, Error> {
+fn deploy(arch: &str, algo: &str, seed: u64) -> Result<OpenOpticsNet, Error> {
     let (routing, lookup, multipath) = routing_for(algo);
-    OpenOpticsNet::deploy(cfg(seed, workers), arch_for(arch), routing, lookup, multipath)
+    OpenOpticsNet::deploy(cfg(seed), arch_for(arch), routing, lookup, multipath)
 }
 
 /// The full matrix: every pairing either deploys or comes back as a typed
@@ -74,7 +73,7 @@ fn every_pairing_deploys_or_is_rejected_with_config_error() {
     let mut rejected = 0;
     for &arch in ARCHS {
         for &algo in ALGOS {
-            match deploy(arch, algo, 7, 1) {
+            match deploy(arch, algo, 7) {
                 Ok(net) => {
                     deployed += 1;
                     assert!(
@@ -103,7 +102,7 @@ fn every_pairing_deploys_or_is_rejected_with_config_error() {
 #[test]
 fn rejections_are_typed_and_name_the_offending_field() {
     for (arch, algo) in [("clos", "vlb"), ("jupiter", "ucmp"), ("rotornet", "ecmp")] {
-        match deploy(arch, algo, 7, 1) {
+        match deploy(arch, algo, 7) {
             Err(Error::Config(e)) => {
                 assert_eq!(e.field, "routing", "{arch} x {algo} rejects via the routing field");
                 assert!(
@@ -118,12 +117,12 @@ fn rejections_are_typed_and_name_the_offending_field() {
     }
 }
 
-/// The sharded-engine contract through the composition API: a deployed
-/// network's exports are byte-identical at any `NetConfig::workers` count.
+/// Determinism through the composition API: two deployments from the same
+/// seed export byte-identical telemetry.
 #[test]
-fn deployed_networks_export_identically_across_workers() {
-    let run = |workers: usize| {
-        let mut net = deploy("rotornet", "vlb", 7, workers).expect("rotornet x vlb deploys");
+fn deployed_networks_export_identically_for_the_same_seed() {
+    let run = || {
+        let mut net = deploy("rotornet", "vlb", 7).expect("rotornet x vlb deploys");
         for i in 1..8u32 {
             net.add_flow(
                 SimTime::from_ns(100 + 911 * i as u64),
@@ -136,27 +135,24 @@ fn deployed_networks_export_identically_across_workers() {
         net.run_for(SimTime::from_ms(5));
         net.export_telemetry("json").expect("telemetry is on by default")
     };
-    let serial = run(1);
-    assert_eq!(serial, run(4), "workers=4 diverged from serial");
-    assert_eq!(serial, run(1), "same seed must reproduce byte-identical exports");
+    assert_eq!(run(), run(), "same seed must reproduce byte-identical exports");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Random sweep cells: deploy is total over the whole grid — any
-    /// pairing, seed, and worker count either runs (and schedules events)
+    /// pairing and seed either runs (and schedules events)
     /// or is rejected with a typed Config error.
     #[test]
     fn random_cells_run_or_reject_cleanly(
         arch_pick in 0usize..8,
         algo_pick in 0usize..8,
         seed in 0u64..1_000,
-        workers in 1usize..5,
     ) {
         let arch = ARCHS[arch_pick];
         let algo = ALGOS[algo_pick];
-        match deploy(arch, algo, seed, workers) {
+        match deploy(arch, algo, seed) {
             Ok(mut net) => {
                 net.add_flow(
                     SimTime::from_ns(100),

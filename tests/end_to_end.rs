@@ -2,13 +2,12 @@
 //! by `openoptics-topo`, routed by `openoptics-routing`, executed by the
 //! switch/host models inside the core engine.
 
-use openoptics::core::archs;
 use openoptics::core::{
     Architecture, DispatchPolicy, NetConfig, OpenOpticsNet, PauseMode, TransportKind,
 };
 use openoptics::proto::{HostId, NodeId};
 use openoptics::routing::algos::{Direct, Hoho, Ucmp, Vlb};
-use openoptics::routing::{LookupMode, MultipathMode};
+use openoptics::routing::{LookupMode, MultipathMode, RoutingAlgorithm};
 use openoptics::sim::time::SimTime;
 use openoptics_host::tcp::TcpConfig;
 
@@ -48,15 +47,40 @@ fn every_architecture_delivers_every_pair() {
         tm
     };
     let nets: Vec<(&str, OpenOpticsNet)> = vec![
-        ("clos", archs::clos(cfg(8, 1, 100)).expect("clos deploys")),
-        ("cthrough", archs::cthrough(cfg(8, 2, 100), &tm).expect("cthrough deploys")),
-        ("jupiter", archs::jupiter(cfg(8, 2, 100)).expect("jupiter deploys")),
-        ("mordia", archs::mordia(cfg(8, 1, 100), &tm, 8).expect("mordia deploys")),
-        ("rotornet", archs::rotornet(cfg(8, 1, 100)).expect("rotornet deploys")),
-        ("opera", archs::opera(cfg(8, 2, 100)).expect("opera deploys")),
+        (
+            "clos",
+            OpenOpticsNet::deploy_preset(cfg(8, 1, 100), Architecture::clos())
+                .expect("clos deploys"),
+        ),
+        (
+            "cthrough",
+            OpenOpticsNet::deploy_preset(cfg(8, 2, 100), Architecture::cthrough(&tm))
+                .expect("cthrough deploys"),
+        ),
+        (
+            "jupiter",
+            OpenOpticsNet::deploy_preset(cfg(8, 2, 100), Architecture::jupiter())
+                .expect("jupiter deploys"),
+        ),
+        (
+            "mordia",
+            OpenOpticsNet::deploy_preset(cfg(8, 1, 100), Architecture::mordia(&tm, 8))
+                .expect("mordia deploys"),
+        ),
+        (
+            "rotornet",
+            OpenOpticsNet::deploy_preset(cfg(8, 1, 100), Architecture::rotornet())
+                .expect("rotornet deploys"),
+        ),
+        (
+            "opera",
+            OpenOpticsNet::deploy_preset(cfg(8, 2, 100), Architecture::opera())
+                .expect("opera deploys"),
+        ),
         (
             "semi-oblivious",
-            archs::semi_oblivious(cfg(8, 1, 100), &tm, 3).expect("semi-oblivious deploys"),
+            OpenOpticsNet::deploy_preset(cfg(8, 1, 100), Architecture::semi_oblivious(&tm, 3))
+                .expect("semi-oblivious deploys"),
         ),
     ];
     for (name, mut net) in nets {
@@ -74,28 +98,21 @@ fn every_architecture_delivers_every_pair() {
 
 #[test]
 fn to_routings_deliver_on_shared_schedule() {
-    for (name, mut net) in [
-        (
-            "vlb",
-            archs::rotornet_with(cfg(8, 1, 50), Vlb, MultipathMode::PerPacket)
-                .expect("vlb deploys"),
-        ),
-        (
-            "direct",
-            archs::rotornet_with(cfg(8, 1, 50), Direct, MultipathMode::None)
-                .expect("direct deploys"),
-        ),
-        (
-            "ucmp",
-            archs::rotornet_with(cfg(8, 1, 50), Ucmp::default(), MultipathMode::PerPacket)
-                .expect("ucmp deploys"),
-        ),
-        (
-            "hoho",
-            archs::rotornet_with(cfg(8, 1, 50), Hoho::default(), MultipathMode::None)
-                .expect("hoho deploys"),
-        ),
-    ] {
+    let schemes: [(&str, Box<dyn RoutingAlgorithm>, MultipathMode); 4] = [
+        ("vlb", Box::new(Vlb), MultipathMode::PerPacket),
+        ("direct", Box::new(Direct), MultipathMode::None),
+        ("ucmp", Box::new(Ucmp::default()), MultipathMode::PerPacket),
+        ("hoho", Box::new(Hoho::default()), MultipathMode::None),
+    ];
+    for (name, algo, multipath) in schemes {
+        let mut net = OpenOpticsNet::deploy(
+            cfg(8, 1, 50),
+            Architecture::rotornet(),
+            algo,
+            LookupMode::PerHop,
+            multipath,
+        )
+        .expect("every TO scheme deploys on rotornet");
         run_flows(&mut net, &[(0, 5, 200_000), (3, 1, 80_000), (7, 2, 40_000)], 60);
         assert_eq!(net.fct().completed().len(), 3, "{name} left flows incomplete");
     }
@@ -106,7 +123,8 @@ fn no_loss_with_guardband_at_paper_min_slice() {
     // The 2 us / 200 ns headline configuration must deliver without fabric
     // loss ("we observe no packet loss in all the experiments with this
     // guardband value", §7).
-    let mut net = archs::rotornet(cfg(8, 1, 2)).expect("rotornet deploys");
+    let mut net = OpenOpticsNet::deploy_preset(cfg(8, 1, 2), Architecture::rotornet())
+        .expect("rotornet deploys");
     run_flows(&mut net, &[(0, 4, 100_000), (2, 6, 100_000)], 40);
     assert_eq!(net.fct().completed().len(), 2);
     let (delivered, lost) = net.engine.fabric_stats();
@@ -117,7 +135,8 @@ fn no_loss_with_guardband_at_paper_min_slice() {
 #[test]
 fn deterministic_given_seed() {
     let run = || {
-        let mut net = archs::rotornet(cfg(8, 1, 20)).expect("rotornet deploys");
+        let mut net = OpenOpticsNet::deploy_preset(cfg(8, 1, 20), Architecture::rotornet())
+            .expect("rotornet deploys");
         run_flows(&mut net, &[(0, 5, 150_000), (1, 6, 90_000)], 40);
         let mut fcts: Vec<u64> = net.fct().completed().iter().map(|r| r.fct_ns()).collect();
         fcts.sort_unstable();
@@ -128,8 +147,14 @@ fn deterministic_given_seed() {
 
 #[test]
 fn tcp_over_rotornet_completes_and_reorders_under_vlb() {
-    let mut net = archs::rotornet_with(cfg(8, 2, 50), Vlb, MultipathMode::PerPacket)
-        .expect("rotornet deploys");
+    let mut net = OpenOpticsNet::deploy(
+        cfg(8, 2, 50),
+        Architecture::rotornet(),
+        Box::new(Vlb),
+        LookupMode::PerHop,
+        MultipathMode::PerPacket,
+    )
+    .expect("rotornet deploys");
     net.add_flow(
         SimTime::from_ns(100),
         HostId(0),
@@ -151,8 +176,14 @@ fn pushback_protects_against_overload() {
         c.pushback = pushback;
         c.congestion_policy = "drop".to_string();
         c.congestion_threshold = 256 * 1024;
-        let mut net =
-            archs::rotornet_with(c, Direct, MultipathMode::None).expect("rotornet deploys");
+        let mut net = OpenOpticsNet::deploy(
+            c,
+            Architecture::rotornet(),
+            Box::new(Direct),
+            LookupMode::PerHop,
+            MultipathMode::None,
+        )
+        .expect("rotornet deploys");
         net.engine.watchdog_retransmit = false;
         for s in [1u32, 2, 3] {
             net.add_flow(
@@ -182,7 +213,14 @@ fn offload_round_trips_bytes_intact() {
     c.offload = true;
     c.offload_keep_ranks = 3;
     c.offload_return_lead_ns = 30_000;
-    let mut net = archs::rotornet_with(c, Vlb, MultipathMode::PerPacket).expect("rotornet deploys");
+    let mut net = OpenOpticsNet::deploy(
+        c,
+        Architecture::rotornet(),
+        Box::new(Vlb),
+        LookupMode::PerHop,
+        MultipathMode::PerPacket,
+    )
+    .expect("rotornet deploys");
     run_flows(&mut net, &[(0, 7, 400_000), (3, 9, 200_000)], 80);
     assert_eq!(net.fct().completed().len(), 2, "offloaded flows must complete");
     let offloaded: u64 =
@@ -237,7 +275,8 @@ fn direct_circuit_pausing_gates_hosts() {
 #[test]
 fn memcached_and_allreduce_coexist() {
     use openoptics_host::apps::MemcachedParams;
-    let mut net = archs::opera(cfg(8, 2, 100)).expect("opera deploys");
+    let mut net =
+        OpenOpticsNet::deploy_preset(cfg(8, 2, 100), Architecture::opera()).expect("opera deploys");
     let clients = (1..8).map(HostId).collect();
     net.add_memcached(MemcachedParams::paper(), HostId(0), clients, SimTime::from_ms(20));
     let ar = net.add_allreduce((0..8).map(HostId).collect(), 1_600_000);
@@ -248,7 +287,8 @@ fn memcached_and_allreduce_coexist() {
 
 #[test]
 fn probe_train_measures_stepped_rtts() {
-    let mut net = archs::rotornet(cfg(8, 1, 100)).expect("rotornet deploys");
+    let mut net = OpenOpticsNet::deploy_preset(cfg(8, 1, 100), Architecture::rotornet())
+        .expect("rotornet deploys");
     let t = net.add_probe_train(HostId(0), HostId(5), 50_000, 200, 100);
     net.run_for(SimTime::from_ms(30));
     let stats = net.engine.probe_stats(t);
@@ -266,11 +306,12 @@ fn probe_train_measures_stepped_rtts() {
 fn ta_reconfiguration_switches_traffic() {
     // Start Jupiter on a uniform mesh, collect, evolve toward a hotspot,
     // and confirm traffic continues end to end across the reconfiguration.
-    let mut net = archs::jupiter(cfg(8, 2, 100)).expect("jupiter deploys");
+    let mut net = OpenOpticsNet::deploy_preset(cfg(8, 2, 100), Architecture::jupiter())
+        .expect("jupiter deploys");
     net.add_flow(SimTime::from_ns(100), HostId(0), HostId(5), 300_000, TransportKind::Paced);
     let tm = net.collect(SimTime::from_ms(10));
     assert!(tm.total() > 0.0);
-    archs::jupiter_reconfigure(&mut net, &tm).expect("collected matrix stays deployable");
+    net.reconfigure(&tm).expect("collected matrix stays deployable");
     net.add_flow(net.now() + 1_000_000, HostId(0), HostId(5), 300_000, TransportKind::Paced);
     net.run_for(SimTime::from_ms(60));
     assert_eq!(net.fct().completed().len(), 2, "flows before and after reconfig complete");

@@ -1,6 +1,6 @@
 //! Integration tests for the observability subsystem: causal lifecycle
 //! spans recorded by a real simulation, deterministic Chrome-trace /
-//! report exports at any worker count, the disabled-mode error surface,
+//! report exports, the disabled-mode error surface,
 //! and the stage-tiling invariant (a delivered packet's stage durations
 //! sum to its end-to-end latency).
 //!

@@ -153,9 +153,9 @@ proptest! {
             .build()
             .expect("sampled config is valid");
         let mut net = match arch_pick {
-            0 => archs::clos(cfg),
-            1 => archs::rotornet(cfg),
-            _ => archs::opera(cfg),
+            0 => OpenOpticsNet::deploy_preset(cfg, Architecture::clos()),
+            1 => OpenOpticsNet::deploy_preset(cfg, Architecture::rotornet()),
+            _ => OpenOpticsNet::deploy_preset(cfg, Architecture::opera()),
         }
         .expect("sampled architecture deploys");
         let stop = SimTime::from_ms(2);
@@ -165,22 +165,23 @@ proptest! {
         prop_assert!(net.events_scheduled() > 0);
     }
 
-    /// The parallel-engine contract: `NetConfig::workers` must never change
-    /// any export. Serial (`workers = 1`) and epoch-stepped (`workers` in
-    /// {2, 4, 8}) runs of the same randomized quick-mode configuration —
-    /// including a randomized fault plan — must produce byte-identical
-    /// telemetry, lifecycle spans, and fault reports.
+    /// Pausing never changes a run: the same randomized quick-mode
+    /// configuration — including a randomized fault plan — run to 3 ms in
+    /// one `run_for` call and in a sampled number of equal steps must
+    /// produce byte-identical telemetry, lifecycle spans, and fault
+    /// reports. Control-plane `run_until`, checkpoint/restore and `fork`
+    /// all rely on this.
     #[test]
-    fn workers_never_change_exports(
+    fn run_for_steps_never_change_exports(
         n in 4u32..9,
         slice_us in 1u64..4,
         seed in 0u64..1_000,
         arch_pick in 0u8..3,
         fault_pick in 0u8..4,
+        steps in 2u64..9,
     ) {
-        use openoptics::faults::FaultPlan;
         use openoptics::prelude::*;
-        let run = |workers: usize| -> (String, String, String) {
+        let run = |steps: u64| -> Result<(String, String, String), Error> {
             let cfg = NetConfig::builder()
                 .node_num(n)
                 .uplink(1)
@@ -189,15 +190,12 @@ proptest! {
                 .guard_ns(1_000)
                 .span_sample_every(4)
                 .seed(seed)
-                .workers(workers)
-                .build()
-                .expect("sampled config is valid");
+                .build()?;
             let mut net = match arch_pick {
-                0 => archs::clos(cfg),
-                1 => archs::rotornet(cfg),
-                _ => archs::opera(cfg),
-            }
-            .expect("sampled architecture deploys");
+                0 => OpenOpticsNet::deploy_preset(cfg, Architecture::clos()),
+                1 => OpenOpticsNet::deploy_preset(cfg, Architecture::rotornet()),
+                _ => OpenOpticsNet::deploy_preset(cfg, Architecture::opera()),
+            }?;
             let plan = match fault_pick {
                 0 => None,
                 1 => Some(FaultPlan::builder().link_down(NodeId(1), PortId(0), 200_000, 900_000)),
@@ -210,27 +208,31 @@ proptest! {
                 )),
                 _ => Some(FaultPlan::builder().nic_pause_storm(NodeId(0), 300_000, 1_200_000)),
             }
-            .map(|b| b.build().expect("sampled plan is valid"));
+            .map(FaultPlanBuilder::build)
+            .transpose()?;
             if let Some(p) = &plan {
-                net.inject_faults(p).expect("plan validates against this net");
+                net.inject_faults(p)?;
             }
             let stop = SimTime::from_ms(2);
             let clients = (1..n).map(HostId).collect();
             net.add_memcached(MemcachedParams::paper(), HostId(0), clients, stop);
-            net.run_for(SimTime::from_ms(3));
-            (
-                net.export_telemetry("json").expect("telemetry is on"),
-                net.export_spans_chrome_trace().expect("spans are on"),
+            let total = SimTime::from_ms(3).as_ns();
+            for _ in 0..steps {
+                net.run_for(SimTime::from_ns(total / steps));
+            }
+            net.run_for(SimTime::from_ns(total % steps));
+            assert_eq!(net.now().as_ns(), total);
+            Ok((
+                net.export_telemetry("json")?,
+                net.export_spans_chrome_trace()?,
                 format!("{:?}", net.fault_report()),
-            )
+            ))
         };
-        let serial = run(1);
-        for workers in [2usize, 4, 8] {
-            let sharded = run(workers);
-            prop_assert_eq!(&sharded.0, &serial.0, "telemetry diverged at {} workers", workers);
-            prop_assert_eq!(&sharded.1, &serial.1, "spans diverged at {} workers", workers);
-            prop_assert_eq!(&sharded.2, &serial.2, "fault report diverged at {} workers", workers);
-        }
+        let whole = run(1)?;
+        let stepped = run(steps)?;
+        prop_assert_eq!(&stepped.0, &whole.0, "telemetry diverged in {} steps", steps);
+        prop_assert_eq!(&stepped.1, &whole.1, "spans diverged in {} steps", steps);
+        prop_assert_eq!(&stepped.2, &whole.2, "fault report diverged in {} steps", steps);
     }
 
     /// The wildcard reduction: a schedule of held circuits routes
