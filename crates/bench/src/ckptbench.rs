@@ -3,7 +3,7 @@
 //! Measures the three control-plane state operations on a warm mid-run
 //! session: serializing a checkpoint document (`save`), rebuilding a
 //! session from it by journal replay (`restore`), and the in-memory
-//! `fork`. Written to `BENCH_engine.json` as `checkpoint_save_ms` /
+//! `fork` (a `Session` clone). Written to `BENCH_engine.json` as `checkpoint_save_ms` /
 //! `checkpoint_restore_ms` / `checkpoint_fork_ms` so `xtask bench-diff`
 //! runs carry the figures without touching the frozen `experiments`
 //! stdout.
@@ -70,7 +70,7 @@ fn round(s: &mut Session) -> (f64, f64, f64) {
     let restore_s = t.elapsed().as_secs_f64();
 
     let t = Instant::now();
-    let branch = s.fork();
+    let branch = s.clone();
     let fork_s = t.elapsed().as_secs_f64();
 
     assert_eq!(

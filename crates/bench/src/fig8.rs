@@ -119,8 +119,7 @@ pub fn run_mice_with_spans(
         let (name, mut net) =
             architecture_with_spans(i, 1, if spans_here { span_sample_every } else { 0 });
         if spans_here && profile {
-            let t0 = std::time::Instant::now();
-            net.set_profiler_clock(move || t0.elapsed().as_nanos() as u64);
+            net.set_profiler_clock(util::wall_ns);
         }
         let stop = SimTime::from_ms(duration_ms);
         util::attach_memcached(&mut net, stop);

@@ -1,12 +1,13 @@
 //! Telemetry disabled-mode overhead: the price of instrumentation that is
 //! turned *off*.
 //!
-//! The zero-cost contract says a disabled instrument is one `Option`
-//! branch on the hot path. This micro-benchmark measures that claim on an
+//! The zero-cost contract says a disabled recorder is one `Option` branch
+//! on the hot path. This micro-benchmark measures that claim on an
 //! event-queue churn loop (the simulator's dominant hot path): the same
-//! loop runs bare and with detached counter / histogram / trace / span
-//! calls woven in, and the relative slowdown is reported as a percentage —
-//! written to `BENCH_engine.json` as `telemetry_disabled_overhead_pct`.
+//! loop runs bare and with the disabled forms the engine and switches call
+//! — a detached histogram record, trace emit and span begin/end — woven
+//! in, and the relative slowdown is reported as a percentage — written to
+//! `BENCH_engine.json` as `telemetry_disabled_overhead_pct`.
 //!
 //! Each round times the bare and instrumented loops back to back
 //! (alternating which runs first, so cache warming and frequency ramps do
@@ -17,14 +18,14 @@
 //! raw time; taking the minimum then keeps only the round where the
 //! pairing was cleanest. A *real* hot-path regression inflates every
 //! round's ratio, so the minimum still reports it — only transient noise
-//! is rejected. The clamp encodes physics: detached instruments cannot
+//! is rejected. The clamp encodes physics: detached recorders cannot
 //! make the loop *faster*, so a negative measurement is timer noise, not
 //! a speedup, and must not be reported as one.
 
 use openoptics_obs::{Spans, Stage};
 use openoptics_sim::time::SimTime;
 use openoptics_sim::EventQueue;
-use openoptics_telemetry::{Labels, Registry, TraceKind};
+use openoptics_telemetry::{Histogram, RetxKind, Trace, TraceKind};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -58,40 +59,32 @@ fn time_churn(iters: u64, mut tick: impl FnMut(u64)) -> f64 {
     t.elapsed().as_secs_f64()
 }
 
-/// Measured slowdown (%) of the churn loop when detached instruments —
-/// counters, a histogram, the trace stream, and lifecycle spans — are
-/// called every iteration, relative to the bare loop. Minimum of the
+/// Measured slowdown (%) of the churn loop when detached recorders — a
+/// histogram, the trace stream, and lifecycle spans — are called every
+/// iteration, relative to the bare loop. Minimum of the
 /// per-round paired ratios, clamped non-negative (see the module docs for
 /// why both choices make the figure stable on a loaded machine).
 pub fn disabled_overhead_pct(iters: u64, rounds: usize) -> f64 {
     let mut best_ratio = f64::INFINITY;
     let mut warmed = false;
     for round in 0..rounds.max(1) {
-        // Fresh instruments each round, behind a cache-line-granular heap
+        // Fresh recorders each round, behind a cache-line-granular heap
         // pad that grows with the round index: whether a disabled
-        // instrument's cache lines alias the queue's hot lines is decided
+        // recorder's cache lines alias the queue's hot lines is decided
         // by heap layout, which is fixed for a whole process. Shifting the
         // layout per round means one unlucky placement cannot poison every
         // sample, and the minimum keeps the cleanest round.
         let pad = vec![0u8; 64 * round + 1];
         black_box(&pad);
-        let reg = Registry::disabled();
-        let counter = reg.counter("bench.churn_ticks", Labels::None);
-        let hist = reg.histogram("bench.churn_gap_ns", Labels::None);
-        let trace = reg.trace();
-        let spans = Spans::detached();
-        let instrumented_tick = |i: u64| {
-            counter.inc();
+        let mut hist = Histogram::detached();
+        let mut trace = Trace::detached();
+        let mut spans = Spans::detached();
+        let mut instrumented_tick = |i: u64| {
             hist.record(black_box(i) & 1023);
-            if trace.is_on() {
-                trace.emit(
-                    SimTime::from_ns(i),
-                    TraceKind::Retransmit {
-                        flow: i,
-                        kind: openoptics_telemetry::RetxKind::Watchdog,
-                    },
-                );
-            }
+            trace.emit(
+                SimTime::from_ns(i),
+                TraceKind::Retransmit { flow: i, kind: RetxKind::Watchdog },
+            );
             let s = spans.span_begin(SimTime::from_ns(i), 0, i, i, Stage::HostTxQueue, 0);
             spans.span_end(SimTime::from_ns(i), s, Stage::HostTxQueue);
         };
@@ -101,7 +94,7 @@ pub fn disabled_overhead_pct(iters: u64, rounds: usize) -> f64 {
             black_box(churn(iters / 4 + 1, |i| {
                 black_box(i);
             }));
-            black_box(churn(iters / 4 + 1, instrumented_tick));
+            black_box(churn(iters / 4 + 1, &mut instrumented_tick));
             warmed = true;
         }
         // Alternate order so ramp-up effects do not favor one side.
@@ -109,10 +102,10 @@ pub fn disabled_overhead_pct(iters: u64, rounds: usize) -> f64 {
             let b = time_churn(iters, |i| {
                 black_box(i);
             });
-            let w = time_churn(iters, instrumented_tick);
+            let w = time_churn(iters, &mut instrumented_tick);
             (b, w)
         } else {
-            let w = time_churn(iters, instrumented_tick);
+            let w = time_churn(iters, &mut instrumented_tick);
             let b = time_churn(iters, |i| {
                 black_box(i);
             });

@@ -56,7 +56,7 @@ pub fn take_events() -> u64 {
 /// `--jobs` count regardless of completion order.
 pub fn note_net(net: &openoptics_core::OpenOpticsNet) {
     note_events(net.events_scheduled());
-    if net.telemetry().is_enabled() {
+    if net.has_telemetry() {
         let totals = net.telemetry_snapshot().counter_totals();
         let mut m = METRICS.lock().expect("metrics lock poisoned");
         for (name, v) in totals {

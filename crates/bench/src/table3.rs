@@ -80,8 +80,7 @@ fn measure(
     let cell_t0 = std::time::Instant::now();
     let mut net = build(algo_key, offload);
     if profile {
-        let t0 = std::time::Instant::now();
-        net.set_profiler_clock(move || t0.elapsed().as_nanos() as u64);
+        net.set_profiler_clock(crate::util::wall_ns);
     }
     // The paper's "40% core link utilization" is fabric-side; VLB doubles
     // every byte (two hops), so host injection of 20% yields 40% core for

@@ -117,6 +117,14 @@ impl Table {
     }
 }
 
+/// Monotonic wall-clock ns since the first call: the clock the bench
+/// installs for profiler self-timing (`OpenOpticsNet::set_profiler_clock`).
+/// Only differences between readings are reported.
+pub fn wall_ns() -> u64 {
+    static EPOCH: std::sync::OnceLock<std::time::Instant> = std::sync::OnceLock::new();
+    EPOCH.get_or_init(std::time::Instant::now).elapsed().as_nanos() as u64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -85,9 +85,10 @@ pub struct NetConfig {
     pub segment_queue_bytes: u64,
     /// PIAS-style elephant threshold for flow aging, bytes.
     pub elephant_threshold: u64,
-    /// Telemetry registry armed: counters/gauges/histograms and the trace
-    /// stream record. `false` leaves every instrument detached (zero-cost
-    /// disabled mode: hot paths see a single `Option` branch).
+    /// Telemetry armed: snapshots and samples report every series, and the
+    /// trace stream and EQO error histograms record. `false` leaves them
+    /// detached (zero-cost disabled mode: hot paths see a single `Option`
+    /// branch) and snapshots empty.
     pub telemetry: bool,
     /// Trace-event buffer capacity (records kept; later events are counted
     /// but dropped so exports stay deterministic). 0 disables tracing while

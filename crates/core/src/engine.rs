@@ -35,12 +35,14 @@ use openoptics_switch::congestion::{CongestionConfig, CongestionPolicy};
 use openoptics_switch::offload::OffloadPolicy;
 use openoptics_switch::{IngressDecision, PipelineModel, ToRSwitch, TorConfig};
 use openoptics_telemetry::{
-    Counter, FlightTrigger, FrameLog, Labels, QuantileSketch, Registry, RetxKind, ServiceStats,
-    SloTarget, SloTransition, TimeSeries, Trace, TraceKind,
+    FlightTrigger, FrameLog, Histogram, QuantileSketch, RetxKind, ServiceStats, SloTarget,
+    SloTransition, TimeSeries, Trace, TraceKind,
 };
 use openoptics_topo::TrafficMatrix;
 use openoptics_workload::fct::{FlowRecord, ELEPHANT_MIN_BYTES, MICE_MAX_BYTES};
 use openoptics_workload::FctStats;
+
+mod series;
 
 /// Maximum payload per packet (MTU minus headers).
 pub const MSS: u32 = 1436;
@@ -344,14 +346,6 @@ struct FaultRuntime {
     per_fault: Vec<FaultCounters>,
 }
 
-/// Live engine-side instruments: bound once at construction, `detached`
-/// (inert) when telemetry is off so hot paths pay one branch.
-#[derive(Clone, Default)]
-struct EngineTele {
-    guardband_holds: Counter,
-    trace: Trace,
-}
-
 /// Lifecycle cursor for one in-flight sampled data packet: its root span
 /// and whichever stage span is currently open.
 #[derive(Clone)]
@@ -551,10 +545,10 @@ fn phase_of(event: &Event) -> Phase {
 
 /// The engine: all network state plus the event interpreter.
 ///
-/// `Clone` is derived so it stays field-complete by construction (a new
-/// field that cannot be cloned breaks the build, not determinism), but the
-/// derived copy shares telemetry/obs buffers through their `Rc` handles —
-/// use [`Engine::fork`] for the independent copy checkpoint forks need.
+/// Plain data: every metric, the trace stream, the span stream and the
+/// profiler are owned fields, so the derived `Clone` is an independent
+/// copy — a clone and its original diverge without ever writing into each
+/// other's exports. Sample rows already recorded are immutable and shared.
 #[derive(Clone)]
 pub struct Engine {
     /// Static configuration this engine was built from.
@@ -613,10 +607,12 @@ pub struct Engine {
     pub watchdog_retransmit: bool,
     /// One-way delays (ns) of delivered data packets, when recording.
     pub delay_samples: Vec<u64>,
-    /// Metrics registry + trace stream (disabled = every handle detached).
-    telemetry: Registry,
-    /// Engine-side live instruments.
-    tele: EngineTele,
+    /// Whether metrics are reported: snapshots and samples read the series
+    /// table only when this is set.
+    telemetry: bool,
+    /// Trace stream (detached unless telemetry is on with a nonzero
+    /// `trace_capacity`).
+    trace: Trace,
     /// Declared services: per-service latency sketches + SLO accounting.
     services: Vec<ServiceStats>,
     /// Per-flow-class FCT sketches (mice/medium/elephant), fed on every
@@ -624,7 +620,7 @@ pub struct Engine {
     class_sketches: [QuantileSketch; 3],
     /// Sim-time-sampled counter/gauge/service series (empty unless
     /// `sample_every_ns > 0`). Rows are immutable and shared, so a clone
-    /// or fork copies pointers, not history.
+    /// copies pointers, not history.
     timeseries: TimeSeries,
     /// Frames for streaming subscriptions: the time series' own sample
     /// rows plus rendered SLO-transition and flight-recorder lines.
@@ -676,10 +672,10 @@ impl Engine {
             keep_ranks: cfg.offload_keep_ranks,
             return_lead_ns: cfg.offload_return_lead_ns,
         });
-        let telemetry = Registry::new(cfg.telemetry, cfg.trace_capacity as usize);
-        let tele = EngineTele {
-            guardband_holds: telemetry.counter("engine.guardband_holds", Labels::None),
-            trace: telemetry.trace(),
+        let trace = if cfg.telemetry && cfg.trace_capacity > 0 {
+            Trace::bounded(cfg.trace_capacity as usize)
+        } else {
+            Trace::detached()
         };
         let tors: Vec<ToRSwitch> = (0..n)
             .map(|i| {
@@ -696,7 +692,9 @@ impl Engine {
                     eqo_interval_ns: cfg.eqo_interval_ns,
                     use_true_occupancy: cfg.eqo_ground_truth,
                 });
-                tor.attach_telemetry(&telemetry);
+                if cfg.telemetry {
+                    tor.eqo_abs_err = Histogram::enabled();
+                }
                 tor
             })
             .collect();
@@ -746,8 +744,8 @@ impl Engine {
             record_delays: false,
             watchdog_retransmit: true,
             delay_samples: vec![],
-            telemetry,
-            tele,
+            telemetry: cfg.telemetry,
+            trace,
             services: vec![],
             class_sketches: [QuantileSketch::new(), QuantileSketch::new(), QuantileSketch::new()],
             timeseries: TimeSeries::new(SAMPLE_CAPACITY),
@@ -756,28 +754,6 @@ impl Engine {
             obs,
             cfg,
         }
-    }
-
-    /// An independent copy of the whole engine — the warm-state leg of a
-    /// checkpoint fork. The derived `Clone` copies all simulation state but
-    /// shares telemetry/obs buffers through `Rc` handles; this method then
-    /// deep-clones those buffers and re-binds every held instrument handle
-    /// against the copy, so the fork and the original diverge without ever
-    /// writing into each other's exports.
-    pub fn fork(&self) -> Engine {
-        let mut e = self.clone();
-        e.telemetry = self.telemetry.deep_clone();
-        e.tele = EngineTele {
-            guardband_holds: e.telemetry.counter("engine.guardband_holds", Labels::None),
-            trace: e.telemetry.trace(),
-        };
-        let reg = e.telemetry.clone();
-        for tor in &mut e.tors {
-            tor.attach_telemetry(&reg);
-        }
-        e.obs.spans = self.obs.spans.deep_clone();
-        e.obs.profiler = self.obs.profiler.deep_clone();
-        e
     }
 
     /// Whether lifecycle-span recording is active for this engine.
@@ -798,123 +774,21 @@ impl Engine {
         &self.obs.profiler
     }
 
-    /// The metrics registry this engine reports into. Disabled when the
-    /// configuration said `telemetry: false`.
-    pub fn telemetry(&self) -> &Registry {
-        &self.telemetry
+    /// Mutable profiler access, for installing a wall clock.
+    pub fn profiler_mut(&mut self) -> &mut Profiler {
+        &mut self.obs.profiler
     }
 
-    /// Mirror engine-side plain counters into the registry so a snapshot
-    /// sees them. Cheap relative to a snapshot; call before snapshotting.
-    /// `queue_stats` carries the event-queue statistics, which live outside
-    /// the engine (the sim crate does not depend on telemetry).
-    pub fn sync_telemetry(&self, queue_stats: Option<openoptics_sim::QueueStats>) {
-        let reg = &self.telemetry;
-        if !reg.is_enabled() {
-            return;
-        }
-        let c = &self.counters;
-        for (name, v) in [
-            ("engine.host_tx_packets", c.host_tx_packets),
-            ("engine.delivered_packets", c.delivered_packets),
-            ("engine.delivered_payload_bytes", c.delivered_payload_bytes),
-            ("engine.fabric_drops", c.fabric_drops),
-            ("engine.switch_drops", c.switch_drops),
-            ("engine.no_route_drops", c.no_route_drops),
-            ("engine.link_drops", c.link_drops),
-            ("engine.pushback_deliveries", c.pushback_deliveries),
-            ("engine.circuit_notifications", c.circuit_notifications),
-            ("engine.trimmed_received", c.trimmed_received),
-            ("engine.watchdog_retransmits", c.watchdog_retransmits),
-            ("engine.rto_retransmits", c.rto_retransmits),
-            ("engine.fast_retransmits", c.fast_retransmits),
-            ("engine.nack_retransmits", c.nack_retransmits),
-            ("engine.fault_drops", c.fault_drops),
-        ] {
-            reg.counter(name, Labels::None).set(v);
-        }
-        if let Some(qs) = queue_stats {
-            reg.counter("sim.events_scheduled", Labels::None).set(qs.scheduled_total);
-            reg.counter("sim.events_popped", Labels::None).set(qs.popped_total);
-            reg.counter("sim.events_far_scheduled", Labels::None).set(qs.far_scheduled);
-            reg.counter("sim.events_overlay_scheduled", Labels::None).set(qs.overlay_scheduled);
-            reg.gauge("sim.queue_len", Labels::None).set(qs.len as i64);
-            reg.gauge("sim.queue_peak_len", Labels::None).set(qs.peak_len as i64);
-        }
-        for (name, v) in self.fabric.counter_pairs() {
-            reg.counter(name, Labels::None).set(v);
-        }
-        for t in &self.tors {
-            let node = Labels::Node(t.cfg.id);
-            let tc = t.counters;
-            for (name, v) in [
-                ("tor.enqueued", tc.enqueued),
-                ("tor.delivered_local", tc.delivered_local),
-                ("tor.deferred", tc.deferred),
-                ("tor.defer_exhausted", tc.defer_exhausted),
-                ("tor.trimmed", tc.trimmed),
-                ("tor.dropped_congestion", tc.dropped_congestion),
-                ("tor.dropped_capacity", tc.dropped_capacity),
-                ("tor.dropped_rank", tc.dropped_rank),
-                ("tor.tx_bytes", tc.tx_bytes),
-                ("tor.tx_packets", tc.tx_packets),
-            ] {
-                reg.counter(name, node).set(v);
-            }
-            let (pb_events, pb_emitted) = t.pushback_stats();
-            reg.counter("tor.pushback_events", node).set(pb_events);
-            reg.counter("tor.pushback_emitted", node).set(pb_emitted);
-            reg.counter("tor.rank_overflows", node).set(t.rank_overflows());
-            reg.counter("tor.offloaded_packets", node).set(t.offload_book.offloaded_packets);
-            reg.gauge("tor.buffer_bytes", node).set(t.buffer_bytes().min(i64::MAX as u64) as i64);
-            reg.gauge("tor.peak_buffer_bytes", node)
-                .set(t.peak_buffer_bytes.min(i64::MAX as u64) as i64);
-        }
-        let mut pauses = 0u64;
-        let mut resumes = 0u64;
-        let mut blocks = 0u64;
-        let mut app_pushbacks = 0u64;
-        let mut queued = 0u64;
-        for h in &self.hosts {
-            for v in [&h.vma, &h.vma_mice] {
-                pauses += v.pause_events;
-                resumes += v.resume_events;
-                blocks += v.block_events;
-                app_pushbacks += v.app_pushback_events;
-                queued += v.total_queued();
-            }
-        }
-        reg.counter("host.vma_pause_transitions", Labels::None).set(pauses);
-        reg.counter("host.vma_resume_transitions", Labels::None).set(resumes);
-        reg.counter("host.vma_block_extensions", Labels::None).set(blocks);
-        reg.counter("host.vma_app_pushbacks", Labels::None).set(app_pushbacks);
-        reg.gauge("host.vma_queued_bytes", Labels::None).set(queued.min(i64::MAX as u64) as i64);
-        reg.gauge("fabric.sync_max_err_ns", Labels::None)
-            .set(self.sync.max_err_ns().min(i64::MAX as u64) as i64);
-        reg.counter("fct.completed_flows", Labels::None).set(self.fct.completed().len() as u64);
-        if let Some(f) = &self.faults {
-            let mut sums = FaultCounters::default();
-            for c in &f.per_fault {
-                sums.activations += c.activations;
-                sums.dropped += c.dropped;
-                sums.corrupted += c.corrupted;
-                sums.missed_rotations += c.missed_rotations;
-                sums.paused_tx += c.paused_tx;
-                sums.reroutes += c.reroutes;
-            }
-            for (name, v) in [
-                ("faults.activations", sums.activations),
-                ("faults.dropped", sums.dropped),
-                ("faults.corrupted", sums.corrupted),
-                ("faults.missed_rotations", sums.missed_rotations),
-                ("faults.paused_tx", sums.paused_tx),
-                ("faults.reroutes", sums.reroutes),
-            ] {
-                reg.counter(name, Labels::None).set(v);
-            }
-        }
-        self.obs.spans.mirror_into(reg);
-        self.obs.profiler.mirror_into(reg);
+    /// Whether metrics are reported (`NetConfig::telemetry` at
+    /// construction).
+    pub fn has_telemetry(&self) -> bool {
+        self.telemetry
+    }
+
+    /// The trace stream (detached when telemetry is off or
+    /// `trace_capacity` is 0).
+    pub fn trace(&self) -> &Trace {
+        &self.trace
     }
 
     // -- services, sampling, and the frame stream ---------------------------
@@ -952,7 +826,7 @@ impl Engine {
     /// always, and — when tagged — its service's sketch and SLO state. An
     /// SLO breach-state transition is traced and pushed as a frame.
     fn note_completion(&mut self, rec: FlowRecord, service: Option<u16>, now: SimTime) {
-        if !self.telemetry.is_enabled() {
+        if !self.telemetry {
             return;
         }
         let fct = rec.fct_ns();
@@ -985,21 +859,7 @@ impl Engine {
             svc.total(),
         );
         self.frames.push(line);
-        self.tele.trace.emit(now, kind);
-    }
-
-    /// One sampling tick: mirror counters, read every counter and gauge
-    /// value into a row of the time series, and share that row with the
-    /// frame log.
-    pub(crate) fn take_sample(
-        &mut self,
-        now: SimTime,
-        queue_stats: Option<openoptics_sim::QueueStats>,
-    ) {
-        self.sync_telemetry(queue_stats);
-        let services = self.services.iter().map(|s| s.summary()).collect();
-        let row = self.timeseries.sample(now.as_ns(), &self.telemetry, services);
-        self.frames.push_sample(row);
+        self.trace.emit(now, kind);
     }
 
     /// Dump the flight recorder — the trace stream's ring of most recent
@@ -1007,10 +867,10 @@ impl Engine {
     /// on fault activation and when a strict-invariants check is about to
     /// trip; no-op when tracing is off.
     fn flight_dump(&mut self, now: SimTime, trigger: FlightTrigger) {
-        if !self.tele.trace.is_on() {
+        if !self.trace.is_on() {
             return;
         }
-        let recent = self.tele.trace.recent_records();
+        let recent = self.trace.recent_records();
         let mut line = String::with_capacity(64 + recent.len() * 72);
         use std::fmt::Write as _;
         let _ = write!(
@@ -1027,9 +887,7 @@ impl Engine {
         }
         line.push_str("]}");
         self.frames.push(line);
-        self.tele
-            .trace
-            .emit(now, TraceKind::FlightDump { trigger, records: idx_u32(recent.len()) });
+        self.trace.emit(now, TraceKind::FlightDump { trigger, records: idx_u32(recent.len()) });
     }
 
     // -- fault injection -----------------------------------------------------
@@ -1175,7 +1033,7 @@ impl Engine {
         // A recovering slice-corrupted switch replays its missed rotations
         // to resynchronize its calendar with the fabric.
         for _ in 0..lag {
-            self.tors[spec.node.index()].rotate(now);
+            self.tors[spec.node.index()].rotate(now, &mut self.trace);
         }
         if !up {
             // A cleared fault can unblock traffic already queued at the node.
@@ -1186,7 +1044,7 @@ impl Engine {
         } else {
             TraceKind::FaultClear { node: spec.node, port: spec.port }
         };
-        self.tele.trace.emit(now, kind);
+        self.trace.emit(now, kind);
         if up {
             // A fault firing is exactly the moment a subscriber wants the
             // recent trace tail: dump the flight recorder (which now ends
@@ -1531,7 +1389,7 @@ impl Engine {
         }
         // Telemetry sampling cadence: the timer is simply never scheduled
         // when sampling is off, so a disabled run pays nothing.
-        if self.cfg.sample_every_ns > 0 && self.telemetry.is_enabled() {
+        if self.cfg.sample_every_ns > 0 && self.telemetry {
             q.schedule(SimTime::from_ns(self.cfg.sample_every_ns), Event::Timer(Timer::Sample));
         }
     }
@@ -1930,7 +1788,7 @@ impl Engine {
             .filter(|h| self.hosts[h.index()].tor == node)
             .collect();
         let dsts: Vec<NodeId> = (0..self.cfg.node_num).map(NodeId).collect();
-        let tracing = self.tele.trace.is_on();
+        let tracing = self.trace.is_on();
         for h in hosts {
             for &d in &dsts {
                 if d == node {
@@ -1948,7 +1806,7 @@ impl Engine {
                     } else {
                         TraceKind::FlowPause { host: h, dst: d }
                     };
-                    self.tele.trace.emit(now, kind);
+                    self.trace.emit(now, kind);
                 }
             }
         }
@@ -2036,7 +1894,7 @@ impl Engine {
         let src_tor_of_pkt = pkt.src;
         let dst = pkt.dst;
         let pid = pkt.id;
-        let res = self.tors[node.index()].ingress(pkt, now);
+        let res = self.tors[node.index()].ingress(pkt, now, &mut self.trace);
         if let Some(msg) = res.pushback {
             // Broadcast to the sender ToR's hosts after a control RTT.
             let hosts: Vec<HostId> = (0..self.cfg.total_hosts())
@@ -2075,7 +1933,7 @@ impl Engine {
             IngressDecision::NoRoute(p) => {
                 if self.install_routes_for(node, dst) {
                     // Retry once with fresh entries.
-                    let res2 = self.tors[node.index()].ingress(p, now);
+                    let res2 = self.tors[node.index()].ingress(p, now, &mut self.trace);
                     match res2.decision {
                         IngressDecision::DeliverLocal(p2) => {
                             let host = p2.dst_host;
@@ -2139,8 +1997,7 @@ impl Engine {
             let resume = self.sync.global_fire_time(node.index(), resume_local);
             self.port_pending[node.index()][port.index()] = true;
             self.counters.guardband_holds += 1;
-            self.tele.guardband_holds.inc();
-            self.tele.trace.emit(now, TraceKind::GuardbandHold { node, port });
+            self.trace.emit(now, TraceKind::GuardbandHold { node, port });
             if self.obs.spans.is_on() {
                 if let Some((pid, _)) = self.tors[node.index()].head_packet_ids(port) {
                     self.obs.hold_begin(pid, now);
@@ -2150,7 +2007,8 @@ impl Engine {
             return;
         }
         self.obs.profiler.enter(Phase::Drain);
-        let popped = self.tors[node.index()].pop_if_fits(port, local, SLICE_END_MARGIN_NS);
+        let popped =
+            self.tors[node.index()].pop_if_fits(port, local, SLICE_END_MARGIN_NS, &mut self.trace);
         self.obs.profiler.exit(Phase::Drain);
         // Every drain attempt refreshes the EQO estimate inside the switch.
         self.obs.profiler.mark(Phase::EqoTick);
@@ -2195,7 +2053,7 @@ impl Engine {
                             c.dropped += 1;
                         }
                     }
-                    self.tele.trace.emit(now, TraceKind::FaultDrop { node, port });
+                    self.trace.emit(now, TraceKind::FaultDrop { node, port });
                     self.obs.profiler.mark(Phase::FaultRuntime);
                     self.obs.fault_dropped(pkt.id, now, code);
                     return;
@@ -2214,14 +2072,14 @@ impl Engine {
                     lost => {
                         self.counters.fabric_drops += 1;
                         self.obs.dropped(pkt.id, now + tx, 3);
-                        if self.tele.trace.is_on() {
+                        if self.trace.is_on() {
                             let kind = match lost {
                                 openoptics_fabric::Transit::Guardband => {
                                     TraceKind::GuardbandDrop { node, port }
                                 }
                                 _ => TraceKind::NoCircuitDrop { node, port },
                             };
-                            self.tele.trace.emit(now, kind);
+                            self.trace.emit(now, kind);
                         }
                     }
                 }
@@ -2258,7 +2116,7 @@ impl Engine {
             }
             None => {
                 self.obs.profiler.enter(Phase::Rotation);
-                self.tors[node.index()].rotate(now);
+                self.tors[node.index()].rotate(now, &mut self.trace);
                 self.obs.profiler.exit(Phase::Rotation);
             }
         }
@@ -2439,8 +2297,7 @@ impl Engine {
                 }
                 if fast_retx {
                     self.counters.fast_retransmits += 1;
-                    self.tele
-                        .trace
+                    self.trace
                         .emit(now, TraceKind::Retransmit { flow: fid, kind: RetxKind::FastRetx });
                     self.obs.retransmit_mark(fid, now, 3);
                 }
@@ -2501,7 +2358,7 @@ impl Engine {
             }
             ControlMsg::CircuitNotify { dst, .. } => {
                 if self.hosts[host.index()].vma.resume(dst) {
-                    self.tele.trace.emit(now, TraceKind::FlowResume { host, dst });
+                    self.trace.emit(now, TraceKind::FlowResume { host, dst });
                 }
                 self.pump_host(host, now, q);
             }
@@ -2549,7 +2406,7 @@ impl Engine {
         let cur = self.tors[node.index()].abs_slice();
         let rank = to_u32(abs.saturating_sub(cur));
         let pid = pkt.id;
-        let res = self.tors[node.index()].reinject_offloaded(pkt, port, rank, now);
+        let res = self.tors[node.index()].reinject_offloaded(pkt, port, rank, now, &mut self.trace);
         match res.decision {
             IngressDecision::Enqueued { port, .. } | IngressDecision::Trimmed { port, .. } => {
                 self.obs.open(pid, Stage::CalendarWait, now);
@@ -2614,8 +2471,7 @@ impl Engine {
                     let src = f.src_host;
                     self.hosts[src.index()].backlog.push(fid);
                     self.counters.watchdog_retransmits += 1;
-                    self.tele
-                        .trace
+                    self.trace
                         .emit(now, TraceKind::Retransmit { flow: fid, kind: RetxKind::Watchdog });
                     self.obs.retransmit_mark(fid, now, 1);
                     self.pump_host(src, now, q);
@@ -2649,9 +2505,7 @@ impl Engine {
                 }
                 if fired {
                     self.counters.rto_retransmits += 1;
-                    self.tele
-                        .trace
-                        .emit(now, TraceKind::Retransmit { flow: fid, kind: RetxKind::Rto });
+                    self.trace.emit(now, TraceKind::Retransmit { flow: fid, kind: RetxKind::Rto });
                     self.obs.retransmit_mark(fid, now, 2);
                     self.pump_tcp(fid, now);
                     if let Some(s) = src {
@@ -2681,7 +2535,7 @@ impl Engine {
                     .send(dst_tor, Segment { flow, dst_host, bytes: len, seq, queued_at: now })
                     .ok();
                 self.counters.nack_retransmits += 1;
-                self.tele.trace.emit(now, TraceKind::Retransmit { flow, kind: RetxKind::Nack });
+                self.trace.emit(now, TraceKind::Retransmit { flow, kind: RetxKind::Nack });
                 self.obs.retransmit_mark(flow, now, 4);
                 self.pump_host(src, now, q);
             }
@@ -2705,7 +2559,7 @@ impl Engine {
             }
             Timer::Sample => {
                 let stats = q.stats();
-                self.take_sample(now, Some(stats));
+                self.take_sample(now, stats);
                 q.schedule_after(now, self.cfg.sample_every_ns, Event::Timer(Timer::Sample));
             }
         }

@@ -73,10 +73,11 @@ impl From<LayoutError> for DeployError {
 
 /// The user-facing network object.
 ///
-/// `Clone` is derived for field-completeness; the copy shares telemetry
-/// and span buffers with the original through `Rc` handles. Use
-/// [`OpenOpticsNet::fork`] for the fully independent copy a what-if branch
-/// needs.
+/// Plain data: `clone()` is a fully independent copy of the network at its
+/// current instant — engine, event queue, telemetry, trace and span state —
+/// which makes it a warm what-if branch. Running the clone and the
+/// original produces two separate histories; each, run alone, is
+/// byte-identical to an uninterrupted run.
 #[derive(Clone)]
 pub struct OpenOpticsNet {
     /// The engine carrying all network state.
@@ -202,18 +203,6 @@ impl OpenOpticsNet {
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// An independent copy of the whole network at its current instant —
-    /// a warm what-if branch. The fork owns deep copies of the engine,
-    /// event queue, and every mutable telemetry/trace/span buffer, and
-    /// shares the immutable sample rows already recorded, so running the
-    /// fork and the original produces two fully separate histories; each,
-    /// run alone, is byte-identical to an uninterrupted run.
-    pub fn fork(&self) -> OpenOpticsNet {
-        let mut net = self.clone();
-        net.engine = self.engine.fork();
-        net
     }
 
     /// The primitive `connect()` call: stage one circuit. Loopback circuits
@@ -502,26 +491,23 @@ impl OpenOpticsNet {
 
     // -- telemetry ---------------------------------------------------------
 
-    /// The metrics registry the network reports into. Disabled (every
-    /// handle detached, zero hot-path cost) when the configuration said
-    /// `telemetry: false`.
-    pub fn telemetry(&self) -> &openoptics_telemetry::Registry {
-        self.engine.telemetry()
+    /// Whether metrics are reported (`NetConfig::telemetry`). When off,
+    /// snapshots are empty, exports error, and recording costs one branch.
+    pub fn has_telemetry(&self) -> bool {
+        self.engine.has_telemetry()
     }
 
     /// A deterministic snapshot of every metric at the current simulation
-    /// time: engine-side plain counters are mirrored into the registry
-    /// first, so the snapshot is complete. Stamped in sim time only —
-    /// byte-identical across runs.
+    /// time, read from the engine's series table. Stamped in sim time
+    /// only — byte-identical across runs.
     pub fn telemetry_snapshot(&self) -> openoptics_telemetry::Snapshot {
-        self.engine.sync_telemetry(Some(self.queue.stats()));
-        self.engine.telemetry().snapshot(self.now)
+        self.engine.telemetry_snapshot(self.now, self.queue.stats())
     }
 
     /// Export the current telemetry snapshot as `"json"` or `"csv"`.
     /// Errors if telemetry is disabled or the format is unknown.
     pub fn export_telemetry(&self, format: &str) -> Result<String, Error> {
-        if !self.engine.telemetry().is_enabled() {
+        if !self.engine.has_telemetry() {
             return Err(openoptics_telemetry::TelemetryError::Disabled.into());
         }
         let snap = self.telemetry_snapshot();
@@ -537,10 +523,10 @@ impl OpenOpticsNet {
     /// The trace-event stream captured so far, one JSON object per line
     /// (first `trace_capacity` events; later ones are counted as dropped).
     pub fn export_trace(&self) -> Result<String, Error> {
-        if !self.engine.telemetry().is_enabled() {
+        if !self.engine.has_telemetry() {
             return Err(openoptics_telemetry::TelemetryError::Disabled.into());
         }
-        Ok(self.engine.telemetry().trace().to_json_lines())
+        Ok(self.engine.trace().to_json_lines())
     }
 
     /// The sampled time series as JSON lines, one sample frame per row,
@@ -550,7 +536,7 @@ impl OpenOpticsNet {
     ///
     /// [`SampleRow::to_json`]: openoptics_telemetry::SampleRow::to_json
     pub fn export_timeseries(&self) -> Result<String, Error> {
-        if !self.engine.telemetry().is_enabled() || self.engine.cfg.sample_every_ns == 0 {
+        if !self.engine.has_telemetry() || self.engine.cfg.sample_every_ns == 0 {
             return Err(openoptics_telemetry::TelemetryError::Disabled.into());
         }
         Ok(self.engine.timeseries().to_json_lines())
@@ -561,7 +547,7 @@ impl OpenOpticsNet {
     /// p50/p99/p999, SLO burn and fault attribution). Errors when telemetry
     /// is disabled.
     pub fn export_slo_report(&self) -> Result<String, Error> {
-        if !self.engine.telemetry().is_enabled() {
+        if !self.engine.has_telemetry() {
             return Err(openoptics_telemetry::TelemetryError::Disabled.into());
         }
         use std::fmt::Write as _;
@@ -672,9 +658,9 @@ impl OpenOpticsNet {
 
     /// Install a wall-clock source for profiler self-timing (the simulator
     /// never reads host time itself — callers inject an `Instant`-based
-    /// closure). No-op when telemetry is disabled.
-    pub fn set_profiler_clock(&self, clock: impl Fn() -> u64 + 'static) {
-        self.engine.profiler().set_clock(clock);
+    /// function). No-op when telemetry is disabled.
+    pub fn set_profiler_clock(&mut self, clock: openoptics_obs::WallClock) {
+        self.engine.profiler_mut().set_clock(clock);
     }
 
     /// The wall-clock profiler report (inclusive/exclusive real time per
@@ -812,7 +798,7 @@ mod tests {
         net.deploy_routing(Vlb, LookupMode::PerHop, MultipathMode::PerPacket)?;
         net.add_flow(SimTime::from_ns(100), HostId(0), HostId(3), 400_000, TransportKind::Paced);
         net.run_for(SimTime::from_ms(1));
-        let fork = net.fork();
+        let fork = net.clone();
         let frames = |n: &OpenOpticsNet| -> Vec<String> {
             n.frames().since(0).iter().map(|f| f.to_json().into_owned()).collect()
         };

@@ -7,8 +7,8 @@
 //! construction — the restored engine is the engine an uninterrupted run
 //! would have produced, byte-for-byte — and keeps the
 //! document small, portable and diffable. The cost is O(t) restore time;
-//! [`crate::Session::fork`] is the O(state) in-memory alternative for warm
-//! what-if branches (see DESIGN.md for the tradeoff).
+//! cloning a [`crate::Session`] is the O(state) in-memory alternative for
+//! warm what-if branches (see DESIGN.md for the tradeoff).
 
 use openoptics_core::json::{self, Json};
 

@@ -14,8 +14,8 @@
 //!   line-delimited JSON-RPC TCP protocol or directly in-process.
 //! - **Checkpoint/restore** ([`Checkpoint`]): snapshot a run as scenario +
 //!   operation journal, restore it by replay, byte-identical to an
-//!   uninterrupted run; or branch a warm run in memory
-//!   with [`Session::fork`].
+//!   uninterrupted run; or branch a warm run in memory by cloning its
+//!   [`Session`].
 //!
 //! The crate never reads wall-clock time and the server never touches the
 //! filesystem (documents travel inline); only the `openoptics-ctl` binary's
@@ -37,5 +37,7 @@ pub use scenario::{
     ArchSpec, FaultEntry, RoutingSpec, Scenario, ScenarioError, SloEntry, TmSpec, TransportSpec,
     WorkloadSpec, ARCH_NAMES, FAULT_KINDS, ROUTING_NAMES, SCENARIO_VERSION,
 };
-pub use server::{serve, serve_on, ControlPlane, Subscriptions, MAX_FRAMES_PER_TURN};
+pub use server::{
+    serve, serve_on, ControlPlane, Subscriptions, MAX_FRAMES_PER_TURN, MAX_LINE_BYTES,
+};
 pub use session::Session;

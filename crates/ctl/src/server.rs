@@ -15,7 +15,7 @@
 
 use std::collections::BTreeMap;
 use std::convert::Infallible;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 
 use openoptics_core::json::{self, Json};
@@ -29,6 +29,14 @@ use crate::session::Session;
 /// plus one `overflow` frame counting what was skipped — bounded
 /// back-pressure instead of an unbounded write burst.
 pub const MAX_FRAMES_PER_TURN: usize = 1024;
+
+/// Longest request line the TCP server reads: bytes before its `\n`.
+/// Scenario and checkpoint documents travel inline and run to a few KiB
+/// (a checkpoint grows by one short journal entry per applied operation),
+/// so this is orders of magnitude above any real request. A longer line
+/// is answered with a typed `request` error and its connection is closed;
+/// the server keeps accepting connections.
+pub const MAX_LINE_BYTES: usize = 16 * 1024 * 1024;
 
 /// Per-connection subscription state: which sessions this connection
 /// streams frames from, and how far into each session's frame log it has
@@ -102,18 +110,8 @@ impl ControlPlane {
             }
             Err(e) => (Json::Null, Err(ScenarioError::new("request", e.to_string()))),
         };
-        let body = match outcome {
-            Ok(result) => ("result".to_string(), result),
-            Err(e) => (
-                "error".to_string(),
-                Json::Obj(vec![
-                    ("field".to_string(), Json::Str(e.field)),
-                    ("reason".to_string(), Json::Str(e.reason)),
-                ]),
-            ),
-        };
         let mut out = self.drain_frames(subs);
-        out.push(Json::Obj(vec![("id".to_string(), id), body]).to_string());
+        out.push(response(id, outcome));
         out
     }
 
@@ -251,7 +249,7 @@ impl ControlPlane {
                     .ok_or_else(|| {
                         ScenarioError::new("params.from", format!("no session named `{from}`"))
                     })?
-                    .fork();
+                    .clone();
                 let result = now_obj(&branch);
                 self.sessions.insert(name, branch);
                 Ok(result)
@@ -297,6 +295,22 @@ impl ControlPlane {
             .get_mut(&name)
             .ok_or_else(|| ScenarioError::new("params.name", format!("no session named `{name}`")))
     }
+}
+
+/// One id-matched response line: the `result`, or the typed
+/// `{"field", "reason"}` error.
+fn response(id: Json, outcome: Result<Json, ScenarioError>) -> String {
+    let body = match outcome {
+        Ok(result) => ("result".to_string(), result),
+        Err(e) => (
+            "error".to_string(),
+            Json::Obj(vec![
+                ("field".to_string(), Json::Str(e.field)),
+                ("reason".to_string(), Json::Str(e.reason)),
+            ]),
+        ),
+    };
+    Json::Obj(vec![("id".to_string(), id), body]).to_string()
 }
 
 fn now_obj(s: &Session) -> Json {
@@ -371,16 +385,63 @@ pub fn serve_on(listener: TcpListener, _: Option<Infallible>) -> std::io::Result
     Ok(())
 }
 
-fn serve_connection(cp: &mut ControlPlane, stream: TcpStream) -> std::io::Result<()> {
+/// One read from a connection.
+enum Request<'a> {
+    /// A request line, without its `\n` or `\r\n` terminator. A final
+    /// line without a terminator still counts.
+    Line(&'a str),
+    /// More than [`MAX_LINE_BYTES`] arrived without a `\n`.
+    TooLong,
+    /// The client closed its side.
+    End,
+}
+
+/// Read one request line into `buf`, reading no more than one byte past
+/// [`MAX_LINE_BYTES`]: that byte tells an over-long line from one exactly
+/// at the cap.
+fn read_request<'a>(reader: &mut impl BufRead, buf: &'a mut Vec<u8>) -> io::Result<Request<'a>> {
+    buf.clear();
+    let limit = MAX_LINE_BYTES as u64 + 1;
+    if reader.by_ref().take(limit).read_until(b'\n', buf)? == 0 {
+        return Ok(Request::End);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if buf.len() > MAX_LINE_BYTES {
+        return Ok(Request::TooLong);
+    }
+    std::str::from_utf8(buf)
+        .map(Request::Line)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+}
+
+fn serve_connection(cp: &mut ControlPlane, stream: TcpStream) -> io::Result<()> {
     let mut writer = stream.try_clone()?;
-    let reader = BufReader::new(stream);
+    let mut reader = BufReader::new(stream);
     let mut subs = Subscriptions::new();
-    for line in reader.lines() {
-        let line = line?;
+    let mut buf = Vec::new();
+    loop {
+        let line = match read_request(&mut reader, &mut buf)? {
+            Request::Line(line) => line,
+            Request::End => break,
+            Request::TooLong => {
+                // Tell the client why, then hang up on it.
+                let e = ScenarioError::new(
+                    "request",
+                    format!("request line exceeds {MAX_LINE_BYTES} bytes; closing the connection"),
+                );
+                writer.write_all(response(Json::Null, Err(e.clone())).as_bytes())?;
+                writer.write_all(b"\n")?;
+                return Err(io::Error::new(io::ErrorKind::InvalidData, e));
+            }
+        };
         if line.trim().is_empty() {
             continue;
         }
-        for out in cp.handle_request(&line, &mut subs) {
+        for out in cp.handle_request(line, &mut subs) {
             writer.write_all(out.as_bytes())?;
             writer.write_all(b"\n")?;
         }

@@ -16,6 +16,13 @@ use crate::checkpoint::{Checkpoint, Op};
 use crate::scenario::{build_fault_plan, Scenario, ScenarioError};
 
 /// A deployed scenario being stepped and mutated on demand.
+///
+/// `clone()` branches the run in memory: an independent copy sharing
+/// nothing mutable with the original. Cloning is O(state) and keeps the
+/// warm engine, so it is the cheap way to explore what-if branches (inject
+/// a fault in one branch, not the other) from the same instant. Both
+/// branches carry the full journal, so either can still be checkpointed
+/// to disk later.
 #[derive(Clone)]
 pub struct Session {
     scenario: Scenario,
@@ -144,7 +151,7 @@ impl Session {
     /// RNG streams, telemetry counters, span buffers — matches an
     /// uninterrupted run exactly; continuing to any later time produces
     /// byte-identical exports. Restore cost is proportional to simulated
-    /// time; see [`Session::fork`] for the O(state) in-memory alternative.
+    /// time; cloning the session is the O(state) in-memory alternative.
     pub fn restore(ckpt: Checkpoint) -> Result<Session, ScenarioError> {
         let mut s = Session::new(ckpt.scenario)?;
         for op in ckpt.journal {
@@ -161,21 +168,6 @@ impl Session {
             ));
         }
         Ok(s)
-    }
-
-    /// Branch the run in memory: an independent deep copy sharing nothing
-    /// mutable with the original.
-    ///
-    /// Forking is O(state) and keeps the warm engine, so it is the cheap
-    /// way to explore what-if branches (inject a fault in one branch, not
-    /// the other) from the same instant. Both branches carry the full
-    /// journal, so either can still be checkpointed to disk later.
-    pub fn fork(&self) -> Session {
-        Session {
-            scenario: self.scenario.clone(),
-            net: self.net.fork(),
-            journal: self.journal.clone(),
-        }
     }
 
     /// Render the canonical export bundle: sim time, telemetry snapshot,

@@ -1,5 +1,5 @@
 //! Control-plane acceptance tests: scenario round-trips, typed rejection,
-//! checkpoint/restore determinism at multiple worker counts, and the RPC
+//! checkpoint/restore determinism, clone-based branching, and the RPC
 //! dispatch layer.
 
 use openoptics_ctl::{
@@ -177,7 +177,7 @@ fn fork_matches_an_uninterrupted_run() {
 
     let mut base = Session::new(scenario()).unwrap();
     base.run_until(600_000);
-    let mut branch = base.fork();
+    let mut branch = base.clone();
     branch.run_until(2_000_000);
     assert_eq!(branch.export_bundle(), straight.export_bundle());
 
@@ -189,7 +189,7 @@ fn fork_matches_an_uninterrupted_run() {
 fn forked_branches_diverge_only_through_their_own_mutations() {
     let mut base = Session::new(scenario()).unwrap();
     base.run_until(600_000);
-    let mut faulted = base.fork();
+    let mut faulted = base.clone();
     faulted
         .apply(Op::InjectFaults {
             faults: vec![FaultEntry {
@@ -452,6 +452,52 @@ fn client_disconnect_mid_stream_does_not_poison_the_server() {
     reader.read_line(&mut line).expect("shutdown response");
     assert!(line.contains(r#""ok":true"#), "{line}");
     server.join().expect("server thread").expect("serve_on exits cleanly");
+}
+
+#[test]
+fn over_long_request_line_is_refused_and_the_server_keeps_serving(
+) -> Result<(), Box<dyn std::error::Error>> {
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::{Shutdown, TcpListener, TcpStream};
+
+    let listener = TcpListener::bind("127.0.0.1:0")?;
+    let addr = listener.local_addr()?;
+    let server = std::thread::spawn(move || openoptics_ctl::serve_on(listener, None));
+
+    // One byte past the cap and no newline in sight: a typed error, then
+    // the server hangs up.
+    let mut c1 = TcpStream::connect(addr)?;
+    c1.write_all(&vec![b'x'; openoptics_ctl::MAX_LINE_BYTES + 1])?;
+    c1.shutdown(Shutdown::Write)?;
+    let mut r1 = BufReader::new(c1);
+    let mut reply = String::new();
+    r1.read_line(&mut reply)?;
+    assert!(reply.contains(r#""id":null,"error":{"field":"request""#), "{reply}");
+    assert!(reply.contains("exceeds"), "{reply}");
+    let mut rest = String::new();
+    assert_eq!(r1.read_line(&mut rest)?, 0, "the connection must be closed: {rest}");
+
+    // The accept loop keeps serving. A line exactly at the cap is read
+    // whole (and refused only as bad JSON).
+    let mut c2 = TcpStream::connect(addr)?;
+    let mut at_cap = vec![b'x'; openoptics_ctl::MAX_LINE_BYTES];
+    at_cap.extend_from_slice(
+        b"\n{\"id\":1,\"method\":\"sessions\",\"params\":{}}\n{\"id\":2,\"method\":\"shutdown\"}\n",
+    );
+    c2.write_all(&at_cap)?;
+    let mut r2 = BufReader::new(c2);
+    let mut lines = Vec::new();
+    for _ in 0..3 {
+        let mut line = String::new();
+        r2.read_line(&mut line)?;
+        lines.push(line);
+    }
+    assert!(lines[0].contains(r#""field":"request""#), "{}", lines[0]);
+    assert!(!lines[0].contains("exceeds"), "{}", lines[0]);
+    assert!(lines[1].contains(r#""id":1,"result""#), "{}", lines[1]);
+    assert!(lines[2].contains(r#""ok":true"#), "{}", lines[2]);
+    server.join().map_err(|_| "server thread panicked")??;
+    Ok(())
 }
 
 #[test]

@@ -220,17 +220,6 @@ impl Fabric {
     pub fn total_lost(&self) -> u64 {
         self.lost_guardband + self.lost_no_circuit + self.lost_reconfig
     }
-
-    /// Delivery/loss counters as `(metric name, value)` pairs, in a fixed
-    /// order, for telemetry mirroring.
-    pub fn counter_pairs(&self) -> [(&'static str, u64); 4] {
-        [
-            ("fabric.delivered", self.delivered),
-            ("fabric.lost_guardband", self.lost_guardband),
-            ("fabric.lost_no_circuit", self.lost_no_circuit),
-            ("fabric.lost_reconfig", self.lost_reconfig),
-        ]
-    }
 }
 
 #[cfg(test)]

@@ -28,7 +28,7 @@
 //!
 //! Campaign results come back as a [`FaultReport`]: per-fault counters
 //! ([`FaultCounters`]) plus campaign-wide delivery/retransmission totals,
-//! mirrored into the telemetry registry under `faults.*` names.
+//! read by the telemetry series table under `faults.*` names.
 
 use openoptics_proto::{NodeId, PortId};
 use openoptics_sim::time::SimTime;

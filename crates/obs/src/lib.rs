@@ -19,7 +19,7 @@
 //! use openoptics_obs::{chrome_trace, Spans, Stage};
 //! use openoptics_sim::time::SimTime;
 //!
-//! let spans = Spans::bounded(1, 0, 1024); // sample every flow
+//! let mut spans = Spans::bounded(1, 0, 1024); // sample every flow
 //! if spans.is_on() {
 //!     let t = SimTime::from_ns(100);
 //!     let f = spans.span_begin(t, 0, 7, 0, Stage::Flow, 0);
@@ -33,7 +33,7 @@ mod profiler;
 mod report;
 mod span;
 
-pub use profiler::{Phase, PhaseStat, Profiler, PHASES, PHASE_COUNT};
+pub use profiler::{Phase, PhaseStat, Profiler, WallClock, PHASES, PHASE_COUNT};
 pub use report::{
     build_forest, chrome_trace, span_report, stage_sum_vs_span, SpanNode, WellFormedError,
     REPORT_MAX_FLOWS,
@@ -86,11 +86,11 @@ mod tests {
         assert_eq!(std::mem::size_of::<Profiler>(), 0);
         assert!(!std::mem::needs_drop::<Spans>());
         assert!(!std::mem::needs_drop::<Profiler>());
-        let s = Spans::bounded(1, 0, 1024);
+        let mut s = Spans::bounded(1, 0, 1024);
         assert!(!s.is_on());
         assert_eq!(s.span_begin(t(1), 0, 1, 1, Stage::Flow, 0), 0);
         assert!(s.finalized_events(t(10)).is_empty());
-        let p = Profiler::enabled();
+        let mut p = Profiler::enabled();
         assert!(!p.is_on());
         p.event(Phase::HostTx, t(1));
         assert!(p.stats().is_empty());
@@ -102,7 +102,7 @@ mod tests {
 
         #[test]
         fn detached_records_nothing() {
-            let s = Spans::detached();
+            let mut s = Spans::detached();
             assert!(!s.is_on());
             assert!(!s.samples(0));
             assert_eq!(s.span_begin(t(5), 0, 1, 1, Stage::Packet, 0), 0);
@@ -119,7 +119,7 @@ mod tests {
 
         #[test]
         fn capacity_gates_admission_not_completion() {
-            let s = Spans::bounded(1, 0, 3);
+            let mut s = Spans::bounded(1, 0, 3);
             let a = s.span_begin(t(1), 0, 1, 1, Stage::Packet, 0);
             let b = s.span_begin(t(2), a, 1, 1, Stage::Rx, 0);
             assert!(s.admit()); // 2 events < 3
@@ -133,7 +133,7 @@ mod tests {
 
         #[test]
         fn finalize_closes_open_spans_and_covers_children() {
-            let s = Spans::bounded(1, 0, 1024);
+            let mut s = Spans::bounded(1, 0, 1024);
             let f = s.span_begin(t(10), 0, 1, 0, Stage::Flow, 0);
             let p = s.span_begin(t(20), f, 1, 9, Stage::Packet, 0);
             let st = s.span_begin(t(20), p, 1, 9, Stage::Serialization, 0);
@@ -151,7 +151,7 @@ mod tests {
 
         #[test]
         fn forest_rejects_malformed_streams() {
-            let s = Spans::bounded(1, 0, 16);
+            let mut s = Spans::bounded(1, 0, 16);
             let a = s.span_begin(t(1), 0, 1, 1, Stage::Packet, 0);
             s.span_end(t(5), a, Stage::Packet);
             s.span_end(t(6), a, Stage::Packet);
@@ -161,7 +161,7 @@ mod tests {
 
         #[test]
         fn chrome_trace_is_valid_and_integer_only() {
-            let s = Spans::bounded(1, 0, 1024);
+            let mut s = Spans::bounded(1, 0, 1024);
             let f = s.span_begin(t(100), 0, 3, 0, Stage::Flow, 0);
             let p = s.span_begin(t(150), f, 3, 11, Stage::Packet, 0);
             s.span_end(t(400), p, Stage::Packet);
@@ -177,7 +177,7 @@ mod tests {
 
         #[test]
         fn report_totals_and_trees() {
-            let s = Spans::bounded(1, 0, 1024);
+            let mut s = Spans::bounded(1, 0, 1024);
             let f = s.span_begin(t(0), 0, 2, 0, Stage::Flow, 0);
             let p = s.span_begin(t(10), f, 2, 4, Stage::Packet, 0);
             let w = s.span_begin(t(10), p, 2, 4, Stage::CalendarWait, 0);
@@ -192,7 +192,7 @@ mod tests {
 
         #[test]
         fn profiler_attributes_gaps_and_counts() {
-            let p = Profiler::enabled();
+            let mut p = Profiler::enabled();
             p.event(Phase::HostTx, t(100));
             p.event(Phase::PortFree, t(250)); // 150 ns charged to HostTx
             p.enter(Phase::Drain);
@@ -210,23 +210,28 @@ mod tests {
             assert!(p.wall_report().is_none());
         }
 
+        thread_local! {
+            /// Readings the fake wall clock hands out, in order; the last
+            /// one repeats once the script runs out.
+            static TICKS: std::cell::RefCell<Vec<u64>> = const { std::cell::RefCell::new(Vec::new()) };
+        }
+
+        fn fake_clock() -> u64 {
+            TICKS.with(|v| {
+                let mut v = v.borrow_mut();
+                if v.len() > 1 {
+                    v.remove(0)
+                } else {
+                    v.first().copied().unwrap_or(0)
+                }
+            })
+        }
+
         #[test]
         fn profiler_wall_mode_nests_inclusive_exclusive() {
-            let p = Profiler::enabled();
-            let fake = std::cell::Cell::new(0u64);
-            // A deterministic "clock" the test advances by hand.
-            let ticks = std::rc::Rc::new(std::cell::RefCell::new(vec![0u64, 10, 20, 100]));
-            let ticks2 = ticks.clone();
-            p.set_clock(move || {
-                let mut v = ticks2.borrow_mut();
-                if v.is_empty() {
-                    fake.get()
-                } else {
-                    let t = v.remove(0);
-                    fake.set(t);
-                    t
-                }
-            });
+            TICKS.with(|v| *v.borrow_mut() = vec![0, 10, 20, 100]);
+            let mut p = Profiler::enabled();
+            p.set_clock(fake_clock);
             p.event(Phase::PortFree, t(0)); // clock: 0
             p.enter(Phase::Drain); // clock: 10
             p.exit(Phase::Drain); // clock: 20 -> Drain wall 10
@@ -238,6 +243,20 @@ mod tests {
             assert_eq!(get(Phase::PortFree).wall_child_ns, 10);
             let rep = p.wall_report().expect("clock installed");
             assert!(rep.contains("wall_excl_ns"));
+        }
+
+        #[test]
+        fn clones_record_independently() {
+            let mut a = Spans::bounded(1, 0, 1024);
+            let f = a.span_begin(t(1), 0, 1, 0, Stage::Flow, 0);
+            let mut b = a.clone();
+            b.span_end(t(2), f, Stage::Flow);
+            assert_eq!((a.len(), b.len()), (1, 2));
+            let mut p = Profiler::enabled();
+            p.mark(Phase::Drain);
+            let mut q = p.clone();
+            q.mark(Phase::Drain);
+            assert_eq!((p.events(Phase::Drain), q.events(Phase::Drain)), (1, 2));
         }
     }
 }

@@ -9,18 +9,14 @@
 //! — "the simulation advanced this far while X was the latest activity".
 //! Event counts are exact.
 //!
-//! Wall-clock mode is opt-in via an injected clock closure (the simulator
+//! Wall-clock mode is opt-in via an injected clock function (the simulator
 //! itself never reads host time — the `wall-clock` oolint rule): with a
 //! clock installed the profiler also measures real nanoseconds per phase,
 //! inclusive and exclusive of nested sub-phases. Wall numbers are for the
 //! bench binary's self-profiling only and never appear in deterministic
 //! exports.
 
-use std::cell::{Cell, RefCell};
-use std::rc::Rc;
-
 use openoptics_sim::time::SimTime;
-use openoptics_telemetry::{Labels, Registry};
 
 /// Engine phase charged for an event or a nested piece of work.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -80,6 +76,7 @@ pub const PHASES: [Phase; PHASE_COUNT] = [
 ];
 
 impl Phase {
+    #[cfg(feature = "enabled")]
     fn index(self) -> usize {
         match self {
             Phase::HostTx => 0,
@@ -100,7 +97,7 @@ impl Phase {
         }
     }
 
-    /// `component.phase` display name (also the mirrored counter name).
+    /// `component.phase` display name.
     pub fn name(&self) -> &'static str {
         match self {
             Phase::HostTx => "host.tx",
@@ -118,27 +115,6 @@ impl Phase {
             Phase::EqoTick => "tor.eqo_tick",
             Phase::Drain => "tor.drain",
             Phase::FaultRuntime => "faults.runtime",
-        }
-    }
-
-    /// Telemetry counter name for the phase's event count.
-    pub fn counter_name(&self) -> &'static str {
-        match self {
-            Phase::HostTx => "obs.phase.host_tx",
-            Phase::TorIngress => "obs.phase.tor_ingress",
-            Phase::HostRx => "obs.phase.host_rx",
-            Phase::Rotate => "obs.phase.rotate",
-            Phase::PortFree => "obs.phase.port_free",
-            Phase::ElecFree => "obs.phase.elec_free",
-            Phase::DownlinkFree => "obs.phase.downlink_free",
-            Phase::OffloadRecall => "obs.phase.offload_recall",
-            Phase::Reinject => "obs.phase.reinject",
-            Phase::HostControl => "obs.phase.host_control",
-            Phase::Timer => "obs.phase.timer",
-            Phase::Rotation => "obs.phase.rotation",
-            Phase::EqoTick => "obs.phase.eqo_tick",
-            Phase::Drain => "obs.phase.drain",
-            Phase::FaultRuntime => "obs.phase.fault_runtime",
         }
     }
 
@@ -163,177 +139,156 @@ pub struct PhaseStat {
     pub wall_child_ns: u64,
 }
 
-#[cfg(feature = "enabled")]
-type WallClock = Box<dyn Fn() -> u64>;
+/// A monotonic wall-clock source in ns, injected for self-profiling.
+pub type WallClock = fn() -> u64;
 
 #[cfg(feature = "enabled")]
-pub(crate) struct ProfBuf {
-    stats: RefCell<[PhaseStat; PHASE_COUNT]>,
+#[derive(Clone, Debug)]
+struct ProfBuf {
+    stats: [PhaseStat; PHASE_COUNT],
     /// Phase and sim-time of the most recent top-level event.
-    last: Cell<Option<(usize, SimTime)>>,
-    clock: RefCell<Option<WallClock>>,
+    last: Option<(usize, SimTime)>,
+    clock: Option<WallClock>,
     /// Open wall frames: `(phase index, start, child wall accumulated)`.
-    wall_stack: RefCell<Vec<(usize, u64, u64)>>,
+    wall_stack: Vec<(usize, u64, u64)>,
 }
 
-/// Handle to the profiler. Detached (inert) when profiling is off, so the
-/// per-event hook is a single branch.
 #[cfg(feature = "enabled")]
-#[derive(Clone, Default)]
-pub struct Profiler(pub(crate) Option<Rc<ProfBuf>>);
+impl ProfBuf {
+    /// Close the innermost open wall frame at clock reading `t`, charging
+    /// its elapsed time to its phase and, as child time, to its parent.
+    fn close_frame(&mut self, t: u64) {
+        let Some((p, start, child)) = self.wall_stack.pop() else { return };
+        let elapsed = t.saturating_sub(start);
+        self.stats[p].wall_incl_ns += elapsed;
+        self.stats[p].wall_child_ns += child;
+        if let Some((_, _, parent_child)) = self.wall_stack.last_mut() {
+            *parent_child += elapsed;
+        }
+    }
+}
 
-/// Handle to the profiler. The `enabled` cargo feature is off: this is a
+/// The engine profiler, owned by the engine that records into it.
+/// Detached (inert) when profiling is off, so the per-event hook is a
+/// single branch.
+#[cfg(feature = "enabled")]
+#[derive(Clone, Debug, Default)]
+pub struct Profiler(Option<Box<ProfBuf>>);
+
+/// The engine profiler. The `enabled` cargo feature is off: this is a
 /// zero-sized type and every method is a no-op that compiles away.
 #[cfg(not(feature = "enabled"))]
-#[derive(Clone, Copy, Default)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct Profiler;
 
 #[cfg(feature = "enabled")]
 impl Profiler {
-    /// A handle that records nothing.
+    /// A profiler that records nothing.
     pub fn detached() -> Profiler {
         Profiler(None)
     }
 
-    /// A recording handle (sim-time attribution; wall clock not installed).
+    /// A recording profiler (sim-time attribution; wall clock not
+    /// installed).
     pub fn enabled() -> Profiler {
-        Profiler(Some(Rc::new(ProfBuf {
-            stats: RefCell::new([PhaseStat::default(); PHASE_COUNT]),
-            last: Cell::new(None),
-            clock: RefCell::new(None),
-            wall_stack: RefCell::new(Vec::new()),
+        Profiler(Some(Box::new(ProfBuf {
+            stats: [PhaseStat::default(); PHASE_COUNT],
+            last: None,
+            clock: None,
+            wall_stack: Vec::new(),
         })))
     }
 
-    /// Whether this handle records anything.
+    /// Whether this profiler records anything.
     #[inline]
     pub fn is_on(&self) -> bool {
         self.0.is_some()
     }
 
     /// Install a wall-clock source (monotonic ns). The simulator never
-    /// reads host time itself; the bench binary injects `Instant`-based
-    /// closures here for self-profiling runs.
-    pub fn set_clock(&self, clock: impl Fn() -> u64 + 'static) {
-        if let Some(b) = &self.0 {
-            *b.clock.borrow_mut() = Some(Box::new(clock));
+    /// reads host time itself; the bench binary injects an
+    /// `Instant`-based function here for self-profiling runs.
+    pub fn set_clock(&mut self, clock: WallClock) {
+        if let Some(b) = &mut self.0 {
+            b.clock = Some(clock);
         }
     }
 
     /// Whether a wall clock is installed.
     pub fn has_clock(&self) -> bool {
-        self.0.as_ref().is_some_and(|b| b.clock.borrow().is_some())
+        self.0.as_ref().is_some_and(|b| b.clock.is_some())
     }
 
     /// Top-level hook: one call per dispatched engine event. Charges the
     /// sim-time gap since the previous event to that event's phase, then
     /// makes `phase` current.
     #[inline]
-    pub fn event(&self, phase: Phase, now: SimTime) {
-        let Some(b) = &self.0 else { return };
+    pub fn event(&mut self, phase: Phase, now: SimTime) {
+        let Some(b) = &mut self.0 else { return };
         let idx = phase.index();
-        {
-            let mut stats = b.stats.borrow_mut();
-            if let Some((prev, at)) = b.last.get() {
-                stats[prev].sim_ns += now.saturating_since(at);
-            }
-            stats[idx].events += 1;
+        if let Some((prev, at)) = b.last {
+            b.stats[prev].sim_ns += now.saturating_since(at);
         }
-        b.last.set(Some((idx, now)));
-        if b.clock.borrow().is_some() {
+        b.stats[idx].events += 1;
+        b.last = Some((idx, now));
+        if let Some(clock) = b.clock {
             // Close whatever frames the previous event left open and open
             // the new top-level frame.
-            let t = b.clock.borrow().as_ref().map_or(0, |c| c());
-            let mut stack = b.wall_stack.borrow_mut();
-            while let Some((p, start, child)) = stack.pop() {
-                let elapsed = t.saturating_sub(start);
-                let mut stats = b.stats.borrow_mut();
-                stats[p].wall_incl_ns += elapsed;
-                stats[p].wall_child_ns += child;
-                if let Some((_, _, parent_child)) = stack.last_mut() {
-                    *parent_child += elapsed;
-                }
+            let t = clock();
+            while !b.wall_stack.is_empty() {
+                b.close_frame(t);
             }
-            stack.push((idx, t, 0));
+            b.wall_stack.push((idx, t, 0));
         }
     }
 
     /// Enter a nested sub-phase (counts it; starts a wall frame when a
     /// clock is installed). Pair with [`Profiler::exit`].
     #[inline]
-    pub fn enter(&self, sub: Phase) {
-        let Some(b) = &self.0 else { return };
+    pub fn enter(&mut self, sub: Phase) {
+        let Some(b) = &mut self.0 else { return };
         let idx = sub.index();
-        b.stats.borrow_mut()[idx].events += 1;
-        if b.clock.borrow().is_some() {
-            let t = b.clock.borrow().as_ref().map_or(0, |c| c());
-            b.wall_stack.borrow_mut().push((idx, t, 0));
+        b.stats[idx].events += 1;
+        if let Some(clock) = b.clock {
+            b.wall_stack.push((idx, clock(), 0));
         }
     }
 
     /// Leave the most recent sub-phase frame opened with [`Profiler::enter`].
     #[inline]
-    pub fn exit(&self, sub: Phase) {
-        let Some(b) = &self.0 else { return };
-        if b.clock.borrow().is_none() {
-            return;
-        }
-        let idx = sub.index();
-        let t = b.clock.borrow().as_ref().map_or(0, |c| c());
-        let mut stack = b.wall_stack.borrow_mut();
-        if let Some(&(p, start, child)) = stack.last() {
-            if p == idx {
-                stack.pop();
-                let elapsed = t.saturating_sub(start);
-                let mut stats = b.stats.borrow_mut();
-                stats[p].wall_incl_ns += elapsed;
-                stats[p].wall_child_ns += child;
-                if let Some((_, _, parent_child)) = stack.last_mut() {
-                    *parent_child += elapsed;
-                }
-            }
+    pub fn exit(&mut self, sub: Phase) {
+        let Some(b) = &mut self.0 else { return };
+        let Some(clock) = b.clock else { return };
+        let t = clock();
+        if b.wall_stack.last().is_some_and(|&(p, _, _)| p == sub.index()) {
+            b.close_frame(t);
         }
     }
 
     /// Count a sub-phase occurrence without timing it.
     #[inline]
-    pub fn mark(&self, sub: Phase) {
-        if let Some(b) = &self.0 {
-            b.stats.borrow_mut()[sub.index()].events += 1;
-        }
-    }
-
-    /// An independent copy of the accumulators (checkpoint forks). The wall
-    /// clock does **not** carry over — wall mode is bench-only
-    /// self-profiling and a fork starts without a clock installed — so any
-    /// open wall frames are dropped with it; sim-time attribution state
-    /// copies exactly.
-    pub fn deep_clone(&self) -> Profiler {
-        match &self.0 {
-            None => Profiler(None),
-            Some(b) => Profiler(Some(Rc::new(ProfBuf {
-                stats: RefCell::new(*b.stats.borrow()),
-                last: Cell::new(b.last.get()),
-                clock: RefCell::new(None),
-                wall_stack: RefCell::new(Vec::new()),
-            }))),
+    pub fn mark(&mut self, sub: Phase) {
+        if let Some(b) = &mut self.0 {
+            b.stats[sub.index()].events += 1;
         }
     }
 
     /// Snapshot of every phase's accumulators, in [`PHASES`] order.
     pub fn stats(&self) -> Vec<(Phase, PhaseStat)> {
         match &self.0 {
-            Some(b) => {
-                let stats = b.stats.borrow();
-                PHASES.iter().map(|p| (*p, stats[p.index()])).collect()
-            }
+            Some(b) => PHASES.iter().map(|p| (*p, b.stats[p.index()])).collect(),
             None => Vec::new(),
         }
     }
 
+    /// Event count of one phase (0 when detached).
+    pub fn events(&self, phase: Phase) -> u64 {
+        self.0.as_ref().map_or(0, |b| b.stats[phase.index()].events)
+    }
+
     /// Deterministic sim-time report: per phase, event count and simulated
-    /// ns attributed. Byte-identical for identical runs at any worker
-    /// count; wall numbers are deliberately excluded.
+    /// ns attributed. Byte-identical for identical runs; wall numbers are
+    /// deliberately excluded.
     pub fn report(&self) -> String {
         let mut out = String::from("phase                events      sim_ns\n");
         for (p, s) in self.stats() {
@@ -367,18 +322,11 @@ impl Profiler {
         }
         Some(out)
     }
-
-    /// Mirror per-phase event counts into the telemetry registry.
-    pub fn mirror_into(&self, reg: &Registry) {
-        for (p, s) in self.stats() {
-            reg.counter(p.counter_name(), Labels::None).set(s.events);
-        }
-    }
 }
 
 #[cfg(not(feature = "enabled"))]
 impl Profiler {
-    /// A handle that records nothing.
+    /// A profiler that records nothing.
     pub fn detached() -> Profiler {
         Profiler
     }
@@ -395,7 +343,7 @@ impl Profiler {
     }
 
     /// No-op.
-    pub fn set_clock(&self, _clock: impl Fn() -> u64 + 'static) {}
+    pub fn set_clock(&mut self, _clock: WallClock) {}
 
     /// Always `false` with the `enabled` feature compiled out.
     pub fn has_clock(&self) -> bool {
@@ -404,28 +352,28 @@ impl Profiler {
 
     /// No-op.
     #[inline]
-    pub fn event(&self, _phase: Phase, _now: SimTime) {}
+    pub fn event(&mut self, _phase: Phase, _now: SimTime) {}
 
     /// No-op.
     #[inline]
-    pub fn enter(&self, _sub: Phase) {}
+    pub fn enter(&mut self, _sub: Phase) {}
 
     /// No-op.
     #[inline]
-    pub fn exit(&self, _sub: Phase) {}
+    pub fn exit(&mut self, _sub: Phase) {}
 
     /// No-op.
     #[inline]
-    pub fn mark(&self, _sub: Phase) {}
-
-    /// No-op copy with the `enabled` feature compiled out.
-    pub fn deep_clone(&self) -> Profiler {
-        Profiler
-    }
+    pub fn mark(&mut self, _sub: Phase) {}
 
     /// Always empty with the `enabled` feature compiled out.
     pub fn stats(&self) -> Vec<(Phase, PhaseStat)> {
         Vec::new()
+    }
+
+    /// Always 0 with the `enabled` feature compiled out.
+    pub fn events(&self, _phase: Phase) -> u64 {
+        0
     }
 
     /// Always the empty header with the `enabled` feature compiled out.
@@ -437,7 +385,4 @@ impl Profiler {
     pub fn wall_report(&self) -> Option<String> {
         None
     }
-
-    /// No-op.
-    pub fn mirror_into(&self, _reg: &Registry) {}
 }

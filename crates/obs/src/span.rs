@@ -7,17 +7,13 @@
 //! retransmits included, reconstructs into a single tree.
 //!
 //! Recording follows the telemetry crate's zero-cost-when-disabled idiom:
-//! [`Spans`] is a handle around an optional shared buffer; a detached
-//! handle turns every call into a single `None` branch. Sampling is
-//! head-based and seed-deterministic — flow `f` is sampled iff
+//! [`Spans`] owns an optional buffer; a detached stream turns every call
+//! into a single `None` branch. Sampling is head-based and
+//! seed-deterministic — flow `f` is sampled iff
 //! `f % sample_every == seed % sample_every` — so the same seed records
-//! the same spans at any worker count.
-
-use std::cell::{Cell, RefCell};
-use std::rc::Rc;
+//! the same spans on every run.
 
 use openoptics_sim::time::SimTime;
-use openoptics_telemetry::{Labels, Registry};
 
 /// Lifecycle stage a span is attributed to.
 ///
@@ -112,58 +108,60 @@ pub struct SpanEvent {
 }
 
 #[cfg(feature = "enabled")]
-pub(crate) struct SpanBuf {
+#[derive(Clone, Debug)]
+struct SpanBuf {
     /// Soft cap on recorded events: once reached, *new* flow/packet spans
     /// are refused (counted in `skipped`) but edges of already-admitted
     /// spans always append, so every begin keeps its end.
     capacity: usize,
     sample_every: u64,
     sample_phase: u64,
-    next_span: Cell<u64>,
-    started: Cell<u64>,
-    skipped: Cell<u64>,
-    events: RefCell<Vec<SpanEvent>>,
+    next_span: u64,
+    started: u64,
+    skipped: u64,
+    events: Vec<SpanEvent>,
 }
 
-/// Handle to the span stream. Cheap to clone; detached (inert) when span
-/// recording is off, so hot paths pay one branch.
+/// The span stream, owned by the engine that records into it; cloning
+/// copies the recorded events. Detached (inert) when span recording is
+/// off, so hot paths pay one branch.
 #[cfg(feature = "enabled")]
-#[derive(Clone, Default)]
-pub struct Spans(pub(crate) Option<Rc<SpanBuf>>);
+#[derive(Clone, Debug, Default)]
+pub struct Spans(Option<SpanBuf>);
 
-/// Handle to the span stream. The `enabled` cargo feature is off: this is
-/// a zero-sized type and every method is a no-op that compiles away.
+/// The span stream. The `enabled` cargo feature is off: this is a
+/// zero-sized type and every method is a no-op that compiles away.
 #[cfg(not(feature = "enabled"))]
-#[derive(Clone, Copy, Default)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct Spans;
 
 #[cfg(feature = "enabled")]
 impl Spans {
-    /// A handle that records nothing (span recording off).
+    /// A stream that records nothing (span recording off).
     pub fn detached() -> Spans {
         Spans(None)
     }
 
-    /// A recording handle sampling every `sample_every`-th flow id (with a
+    /// A recording stream sampling every `sample_every`-th flow id (with a
     /// seed-derived phase) into a buffer admitting new spans while fewer
     /// than `capacity` events are held. `sample_every == 0` disables
-    /// recording entirely (returns a detached handle).
+    /// recording entirely (returns a detached stream).
     pub fn bounded(sample_every: u64, seed: u64, capacity: usize) -> Spans {
         if sample_every == 0 {
             return Spans(None);
         }
-        Spans(Some(Rc::new(SpanBuf {
+        Spans(Some(SpanBuf {
             capacity,
             sample_every,
             sample_phase: seed % sample_every,
-            next_span: Cell::new(1),
-            started: Cell::new(0),
-            skipped: Cell::new(0),
-            events: RefCell::new(Vec::new()),
-        })))
+            next_span: 1,
+            started: 0,
+            skipped: 0,
+            events: Vec::new(),
+        }))
     }
 
-    /// Whether this handle records anything.
+    /// Whether this stream records anything.
     #[inline]
     pub fn is_on(&self) -> bool {
         self.0.is_some()
@@ -180,24 +178,20 @@ impl Spans {
 
     /// Whether a new root span may start. Refusals (buffer at capacity)
     /// are counted in [`Spans::skipped`].
-    pub fn admit(&self) -> bool {
-        match &self.0 {
-            Some(b) => {
-                if b.events.borrow().len() < b.capacity {
-                    true
-                } else {
-                    b.skipped.set(b.skipped.get() + 1);
-                    false
-                }
-            }
-            None => false,
+    pub fn admit(&mut self) -> bool {
+        let Some(b) = &mut self.0 else { return false };
+        if b.events.len() < b.capacity {
+            true
+        } else {
+            b.skipped += 1;
+            false
         }
     }
 
     /// Open a span; returns its id (0 when detached).
     #[inline]
     pub fn span_begin(
-        &self,
+        &mut self,
         at: SimTime,
         parent: u64,
         flow: u64,
@@ -205,11 +199,11 @@ impl Spans {
         stage: Stage,
         arg: u64,
     ) -> u64 {
-        let Some(b) = &self.0 else { return 0 };
-        let span = b.next_span.get();
-        b.next_span.set(span + 1);
-        b.started.set(b.started.get() + 1);
-        b.events.borrow_mut().push(SpanEvent {
+        let Some(b) = &mut self.0 else { return 0 };
+        let span = b.next_span;
+        b.next_span += 1;
+        b.started += 1;
+        b.events.push(SpanEvent {
             at,
             span,
             parent,
@@ -225,12 +219,12 @@ impl Spans {
     /// Close span `span` at `at`. `stage` must repeat the begin's stage
     /// (the `span-paired` oolint rule checks call sites textually).
     #[inline]
-    pub fn span_end(&self, at: SimTime, span: u64, stage: Stage) {
-        let Some(b) = &self.0 else { return };
+    pub fn span_end(&mut self, at: SimTime, span: u64, stage: Stage) {
+        let Some(b) = &mut self.0 else { return };
         if span == 0 {
             return;
         }
-        b.events.borrow_mut().push(SpanEvent {
+        b.events.push(SpanEvent {
             at,
             span,
             parent: 0,
@@ -244,7 +238,7 @@ impl Spans {
 
     /// Record an instantaneous annotation span (begin and end at `at`).
     pub fn span_mark(
-        &self,
+        &mut self,
         at: SimTime,
         parent: u64,
         flow: u64,
@@ -258,7 +252,7 @@ impl Spans {
 
     /// Recorded event count.
     pub fn len(&self) -> usize {
-        self.0.as_ref().map_or(0, |b| b.events.borrow().len())
+        self.0.as_ref().map_or(0, |b| b.events.len())
     }
 
     /// Whether nothing has been recorded.
@@ -268,30 +262,12 @@ impl Spans {
 
     /// Root spans admitted so far (flow + packet + annotation spans).
     pub fn started(&self) -> u64 {
-        self.0.as_ref().map_or(0, |b| b.started.get())
+        self.0.as_ref().map_or(0, |b| b.started)
     }
 
     /// Root spans refused because the buffer was at capacity.
     pub fn skipped(&self) -> u64 {
-        self.0.as_ref().map_or(0, |b| b.skipped.get())
-    }
-
-    /// An independent copy of the stream: same sampling parameters, same
-    /// recorded events and counters, separate storage — span recording in
-    /// one copy never appears in the other (checkpoint forks).
-    pub fn deep_clone(&self) -> Spans {
-        match &self.0 {
-            None => Spans(None),
-            Some(b) => Spans(Some(Rc::new(SpanBuf {
-                capacity: b.capacity,
-                sample_every: b.sample_every,
-                sample_phase: b.sample_phase,
-                next_span: Cell::new(b.next_span.get()),
-                started: Cell::new(b.started.get()),
-                skipped: Cell::new(b.skipped.get()),
-                events: RefCell::new(b.events.borrow().clone()),
-            }))),
-        }
+        self.0.as_ref().map_or(0, |b| b.skipped)
     }
 
     /// A well-formed copy of the stream: every `Begin` is guaranteed an
@@ -303,29 +279,19 @@ impl Spans {
     /// recorded stream and `now`.
     pub fn finalized_events(&self, now: SimTime) -> Vec<SpanEvent> {
         let Some(b) = &self.0 else { return Vec::new() };
-        finalize(&b.events.borrow(), now)
-    }
-
-    /// Mirror summary counters into the telemetry registry (`obs.*`).
-    pub fn mirror_into(&self, reg: &Registry) {
-        if !self.is_on() {
-            return;
-        }
-        reg.counter("obs.span_events", Labels::None).set(self.len() as u64);
-        reg.counter("obs.spans_started", Labels::None).set(self.started());
-        reg.counter("obs.spans_skipped", Labels::None).set(self.skipped());
+        finalize(&b.events, now)
     }
 }
 
 #[cfg(not(feature = "enabled"))]
 impl Spans {
-    /// A handle that records nothing (span recording off).
+    /// A stream that records nothing (span recording off).
     pub fn detached() -> Spans {
         Spans
     }
 
     /// No-op constructor: the `enabled` feature is compiled out, so the
-    /// parameters are ignored and the handle stays inert.
+    /// parameters are ignored and the stream stays inert.
     pub fn bounded(_sample_every: u64, _seed: u64, _capacity: usize) -> Spans {
         Spans
     }
@@ -344,14 +310,14 @@ impl Spans {
 
     /// Always `false` with the `enabled` feature compiled out.
     #[inline]
-    pub fn admit(&self) -> bool {
+    pub fn admit(&mut self) -> bool {
         false
     }
 
     /// No-op; returns span id 0.
     #[inline]
     pub fn span_begin(
-        &self,
+        &mut self,
         _at: SimTime,
         _parent: u64,
         _flow: u64,
@@ -364,12 +330,12 @@ impl Spans {
 
     /// No-op.
     #[inline]
-    pub fn span_end(&self, _at: SimTime, _span: u64, _stage: Stage) {}
+    pub fn span_end(&mut self, _at: SimTime, _span: u64, _stage: Stage) {}
 
     /// No-op.
     #[inline]
     pub fn span_mark(
-        &self,
+        &mut self,
         _at: SimTime,
         _parent: u64,
         _flow: u64,
@@ -399,18 +365,10 @@ impl Spans {
         0
     }
 
-    /// No-op copy with the `enabled` feature compiled out.
-    pub fn deep_clone(&self) -> Spans {
-        Spans
-    }
-
     /// Always empty with the `enabled` feature compiled out.
     pub fn finalized_events(&self, _now: SimTime) -> Vec<SpanEvent> {
         Vec::new()
     }
-
-    /// No-op.
-    pub fn mirror_into(&self, _reg: &Registry) {}
 }
 
 /// Close every open span in `events` (see [`Spans::finalized_events`]).

@@ -7,7 +7,9 @@
 //! [`ToRSwitch`] with three calls: [`ToRSwitch::ingress`] when a packet
 //! head arrives, [`ToRSwitch::rotate`] at each (locally clocked) slice
 //! boundary, and [`ToRSwitch::pop_if_fits`] when an uplink is free to
-//! transmit.
+//! transmit. Each takes the engine's trace stream to narrate what it did;
+//! the switch's counters and EQO error histogram are its own fields, read
+//! by the engine's series table.
 
 use crate::calendar::{CalendarPort, EnqueueError};
 use crate::congestion::{
@@ -23,7 +25,7 @@ use openoptics_routing::RouteEntry;
 use openoptics_sim::cast::idx_u32;
 use openoptics_sim::rate::Bandwidth;
 use openoptics_sim::time::{SimTime, SliceConfig, SliceIndex};
-use openoptics_telemetry::{Counter, Histogram, Labels, Registry, Trace, TraceKind};
+use openoptics_telemetry::{Histogram, Trace, TraceKind};
 
 /// Static configuration of one ToR switch.
 #[derive(Clone, Debug)]
@@ -150,26 +152,16 @@ pub struct TorCounters {
     pub tx_bytes: u64,
     /// Packets transmitted.
     pub tx_packets: u64,
-}
-
-/// Live registry instruments of one switch. Detached (free) by default;
-/// [`ToRSwitch::attach_telemetry`] binds them to a registry.
-#[derive(Clone, Debug, Default)]
-struct TorTele {
     /// Head-of-line packets that missed the tail of their slice.
-    slice_miss: Counter,
+    pub slice_miss: u64,
     /// Calendar rotations performed.
-    rotations: Counter,
-    /// |EQO estimate − true occupancy| at each admission, bytes.
-    eqo_abs_err: Histogram,
-    trace: Trace,
+    pub rotations: u64,
 }
 
 /// The switch model.
 ///
-/// Cloning copies the full switch state (tables, calendar ports, offload
-/// ledger) but shares telemetry handles; checkpoint forks re-bind them via
-/// [`ToRSwitch::attach_telemetry`].
+/// Cloning copies the full switch state: tables, calendar ports, offload
+/// ledger, counters and the EQO error histogram.
 #[derive(Clone)]
 pub struct ToRSwitch {
     /// Static configuration.
@@ -186,7 +178,9 @@ pub struct ToRSwitch {
     pub counters: TorCounters,
     /// Peak total calendar occupancy observed, bytes (Table 3).
     pub peak_buffer_bytes: u64,
-    tele: TorTele,
+    /// |EQO estimate − true occupancy| at each admission, bytes. Detached
+    /// by default; the engine enables it when telemetry is on.
+    pub eqo_abs_err: Histogram,
 }
 
 impl ToRSwitch {
@@ -213,21 +207,8 @@ impl ToRSwitch {
             abs_slice: 0,
             counters: TorCounters::default(),
             peak_buffer_bytes: 0,
-            tele: TorTele::default(),
+            eqo_abs_err: Histogram::detached(),
         }
-    }
-
-    /// Bind this switch's live instruments (slice-miss counter, EQO error
-    /// histogram, trace stream) to `registry`. A disabled registry hands
-    /// out detached handles, so hot paths stay branch-only.
-    pub fn attach_telemetry(&mut self, registry: &Registry) {
-        let node = Labels::Node(self.cfg.id);
-        self.tele = TorTele {
-            slice_miss: registry.counter("tor.slice_miss", node),
-            rotations: registry.counter("tor.rotations", node),
-            eqo_abs_err: registry.histogram("tor.eqo_abs_err_bytes", node),
-            trace: registry.trace(),
-        };
     }
 
     /// Install compiled route entries (the `deploy_routing` endpoint).
@@ -295,7 +276,7 @@ impl ToRSwitch {
 
     /// Slice-boundary rotation: apply pending EQO drain for the old active
     /// queues, then rotate every port and bump the slice counters.
-    pub fn rotate(&mut self, now: SimTime) {
+    pub fn rotate(&mut self, now: SimTime, trace: &mut Trace) {
         let active = self.active_indices();
         self.eqo.refresh(now, &active);
         for p in &mut self.ports {
@@ -303,14 +284,13 @@ impl ToRSwitch {
         }
         self.current_slice = self.cfg.slice_cfg.advance(self.current_slice, 1);
         self.abs_slice += 1;
-        self.tele.rotations.inc();
+        self.counters.rotations += 1;
         let min_cycle = self.abs_slice / self.cfg.slice_cfg.num_slices as u64;
-        if self.tele.trace.is_on() {
-            self.tele
-                .trace
+        if trace.is_on() {
+            trace
                 .emit(now, TraceKind::SliceRotate { node: self.cfg.id, slice: self.current_slice });
             for (dst, slice, cycle) in self.pushback.gc_collect(min_cycle) {
-                self.tele.trace.emit(
+                trace.emit(
                     now,
                     TraceKind::PushbackDeassert { node: self.cfg.id, dst, slice, cycle },
                 );
@@ -321,7 +301,7 @@ impl ToRSwitch {
     }
 
     /// Ingress pipeline for one packet.
-    pub fn ingress(&mut self, mut pkt: Packet, now: SimTime) -> IngressResult {
+    pub fn ingress(&mut self, mut pkt: Packet, now: SimTime, trace: &mut Trace) -> IngressResult {
         let active = self.active_indices();
         self.eqo.refresh(now, &active);
         pkt.ingress_ts = now;
@@ -360,11 +340,18 @@ impl ToRSwitch {
             Some(dep) => self.cfg.slice_cfg.rank(self.current_slice, dep),
             None => 0,
         };
-        self.admit(pkt, port, rank, now)
+        self.admit(pkt, port, rank, now, trace)
     }
 
     /// Admission: offload check, congestion detection, calendar enqueue.
-    fn admit(&mut self, mut pkt: Packet, port: PortId, rank: u32, now: SimTime) -> IngressResult {
+    fn admit(
+        &mut self,
+        mut pkt: Packet,
+        port: PortId,
+        rank: u32,
+        now: SimTime,
+        trace: &mut Trace,
+    ) -> IngressResult {
         let pidx = port.index();
 
         // Buffer offloading: far-future ranks are parked on hosts.
@@ -381,7 +368,7 @@ impl ToRSwitch {
             self.counters.dropped_rank += 1;
             // A rank the ring cannot express is also a queue-full condition
             // for push-back purposes.
-            let pb = self.queue_full_pushback(&pkt, rank, now);
+            let pb = self.queue_full_pushback(&pkt, rank, now, trace);
             return IngressResult {
                 decision: IngressDecision::Dropped(DropReason::RankOverflow),
                 pushback: pb,
@@ -396,10 +383,10 @@ impl ToRSwitch {
         } else {
             let est = self.eqo.estimate(pidx, qidx);
             // One EQO error sample per admission: |estimate − ground truth|.
-            if self.tele.eqo_abs_err.is_attached() {
+            if self.eqo_abs_err.is_on() {
                 let actual = self.ports[pidx].queue_bytes(qidx);
-                self.tele.eqo_abs_err.record(est.abs_diff(actual));
-                self.tele.trace.emit(
+                self.eqo_abs_err.record(est.abs_diff(actual));
+                trace.emit(
                     now,
                     TraceKind::EqoSample {
                         node: self.cfg.id,
@@ -418,7 +405,7 @@ impl ToRSwitch {
         let mut pushback = None;
         if evaluate(&self.cfg.congestion, est, pkt.size, admissible) == CongestionOutcome::Congested
         {
-            pushback = self.queue_full_pushback(&pkt, rank, now);
+            pushback = self.queue_full_pushback(&pkt, rank, now, trace);
             match self.cfg.congestion.policy {
                 CongestionPolicy::Drop => {
                     self.counters.dropped_congestion += 1;
@@ -529,12 +516,18 @@ impl ToRSwitch {
         }
     }
 
-    fn queue_full_pushback(&mut self, pkt: &Packet, rank: u32, now: SimTime) -> Option<ControlMsg> {
+    fn queue_full_pushback(
+        &mut self,
+        pkt: &Packet,
+        rank: u32,
+        now: SimTime,
+        trace: &mut Trace,
+    ) -> Option<ControlMsg> {
         let slice = self.cfg.slice_cfg.advance(self.current_slice, rank);
         let cycle = (self.abs_slice + rank as u64) / self.cfg.slice_cfg.num_slices as u64;
         let msg = self.pushback.on_queue_full(pkt.dst, slice, cycle);
         if msg.is_some() {
-            self.tele.trace.emit(
+            trace.emit(
                 now,
                 TraceKind::PushbackAssert { node: self.cfg.id, dst: pkt.dst, slice, cycle },
             );
@@ -550,6 +543,7 @@ impl ToRSwitch {
         port: PortId,
         now: SimTime,
         end_margin_ns: u64,
+        trace: &mut Trace,
     ) -> Option<(Packet, u64)> {
         let active = self.active_indices();
         self.eqo.refresh(now, &active);
@@ -564,8 +558,8 @@ impl ToRSwitch {
         if tx + end_margin_ns > remaining {
             // Distinct from an empty queue: the head exists but cannot make
             // the tail of this slice and waits a full cycle.
-            self.tele.slice_miss.inc();
-            self.tele.trace.emit(now, TraceKind::SliceMiss { node: self.cfg.id, port });
+            self.counters.slice_miss += 1;
+            trace.emit(now, TraceKind::SliceMiss { node: self.cfg.id, port });
             return None;
         }
         let (len, pkt) = cp.pop_active().expect("peeked head vanished");
@@ -611,10 +605,11 @@ impl ToRSwitch {
         port: PortId,
         rank: u32,
         now: SimTime,
+        trace: &mut Trace,
     ) -> IngressResult {
         // Bypass the offload check for near ranks by construction: the
         // caller recalls with lead < keep_ranks slices.
-        self.admit(pkt, port, rank, now)
+        self.admit(pkt, port, rank, now, trace)
     }
 
     /// The push-back generator's statistics.
@@ -649,7 +644,8 @@ mod tests {
     #[test]
     fn local_delivery_short_circuits() {
         let mut t = ToRSwitch::new(cfg(8));
-        let r = t.ingress(pkt(1, NodeId(0)), SimTime::from_ns(300));
+        let mut tr = Trace::detached();
+        let r = t.ingress(pkt(1, NodeId(0)), SimTime::from_ns(300), &mut tr);
         assert!(matches!(r.decision, IngressDecision::DeliverLocal(_)));
         assert_eq!(t.counters.delivered_local, 1);
     }
@@ -657,7 +653,8 @@ mod tests {
     #[test]
     fn no_route_returns_packet() {
         let mut t = ToRSwitch::new(cfg(8));
-        let r = t.ingress(pkt(1, NodeId(3)), SimTime::from_ns(300));
+        let mut tr = Trace::detached();
+        let r = t.ingress(pkt(1, NodeId(3)), SimTime::from_ns(300), &mut tr);
         match r.decision {
             IngressDecision::NoRoute(p) => assert_eq!(p.dst, NodeId(3)),
             other => panic!("unexpected {other:?}"),
@@ -667,9 +664,10 @@ mod tests {
     #[test]
     fn enqueue_rank_matches_departure_slice() {
         let mut t = ToRSwitch::new(cfg(8));
+        let mut tr = Trace::detached();
         // Arrive slice 0, depart slice 3 -> rank 3.
         t.install_routes([entry(Some(0), NodeId(3), PortId(1), Some(3))]);
-        let r = t.ingress(pkt(1, NodeId(3)), SimTime::from_ns(300));
+        let r = t.ingress(pkt(1, NodeId(3)), SimTime::from_ns(300), &mut tr);
         match r.decision {
             IngressDecision::Enqueued { port, rank } => {
                 assert_eq!(port, PortId(1));
@@ -681,11 +679,12 @@ mod tests {
         assert!(!t.has_active_traffic(PortId(1)));
         // ...but after three rotations it is.
         for i in 1..=3u64 {
-            t.rotate(SimTime::from_ns(2_000 * i));
+            t.rotate(SimTime::from_ns(2_000 * i), &mut tr);
         }
         assert!(t.has_active_traffic(PortId(1)));
-        let (p, tx) =
-            t.pop_if_fits(PortId(1), SimTime::from_ns(6_300), 0).expect("head fits the slice");
+        let (p, tx) = t
+            .pop_if_fits(PortId(1), SimTime::from_ns(6_300), 0, &mut tr)
+            .expect("head fits the slice");
         assert_eq!(p.id, 1);
         assert!(tx > 0);
     }
@@ -693,24 +692,26 @@ mod tests {
     #[test]
     fn tail_that_misses_slice_waits() {
         let mut t = ToRSwitch::new(cfg(8));
+        let mut tr = Trace::detached();
         t.install_routes([entry(Some(0), NodeId(3), PortId(0), Some(0))]);
-        t.ingress(pkt(1, NodeId(3)), SimTime::from_ns(200));
+        t.ingress(pkt(1, NodeId(3)), SimTime::from_ns(200), &mut tr);
         // 1064-byte wire packet at 100 Gbps = ~85 ns; only 50 ns left.
-        assert!(t.pop_if_fits(PortId(0), SimTime::from_ns(1_950), 0).is_none());
+        assert!(t.pop_if_fits(PortId(0), SimTime::from_ns(1_950), 0, &mut tr).is_none());
         // Earlier in the slice it fits.
-        assert!(t.pop_if_fits(PortId(0), SimTime::from_ns(1_000), 0).is_some());
+        assert!(t.pop_if_fits(PortId(0), SimTime::from_ns(1_000), 0, &mut tr).is_some());
     }
 
     #[test]
     fn source_route_overrides_table() {
         use openoptics_proto::packet::{SourceHop, SourceRoute};
         let mut t = ToRSwitch::new(cfg(8));
+        let mut tr = Trace::detached();
         // Table says port 0; the packet carries a source route via port 1.
         t.install_routes([entry(Some(0), NodeId(3), PortId(0), Some(0))]);
         let mut p = pkt(1, NodeId(3));
         p.source_route =
             Some(SourceRoute::new(vec![SourceHop { port: PortId(1), dep_slice: Some(2) }]));
-        let r = t.ingress(p, SimTime::from_ns(300));
+        let r = t.ingress(p, SimTime::from_ns(300), &mut tr);
         match r.decision {
             IngressDecision::Enqueued { port, rank } => {
                 assert_eq!(port, PortId(1));
@@ -729,12 +730,13 @@ mod tests {
             policy: CongestionPolicy::Drop,
         };
         let mut t = ToRSwitch::new(c);
+        let mut tr = Trace::detached();
         t.install_routes([entry(Some(0), NodeId(3), PortId(0), Some(1))]);
         // Admissible for a future slice: 100 Gbps x 1800 ns = 22_500 B.
         // 21 x 1064 B = 22_344 B fit; the 22nd exceeds.
         let mut dropped = 0;
         for i in 0..25 {
-            let r = t.ingress(pkt(i, NodeId(3)), SimTime::from_ns(300));
+            let r = t.ingress(pkt(i, NodeId(3)), SimTime::from_ns(300), &mut tr);
             if matches!(r.decision, IngressDecision::Dropped(DropReason::Congestion)) {
                 dropped += 1;
             }
@@ -748,10 +750,11 @@ mod tests {
         let mut c = cfg(8);
         c.congestion.policy = CongestionPolicy::Defer { max_extra_slices: 4 };
         let mut t = ToRSwitch::new(c);
+        let mut tr = Trace::detached();
         t.install_routes([entry(Some(0), NodeId(3), PortId(0), Some(1))]);
         let mut ranks = vec![];
         for i in 0..30 {
-            let r = t.ingress(pkt(i, NodeId(3)), SimTime::from_ns(300));
+            let r = t.ingress(pkt(i, NodeId(3)), SimTime::from_ns(300), &mut tr);
             if let IngressDecision::Enqueued { rank, .. } = r.decision {
                 ranks.push(rank);
             }
@@ -766,10 +769,11 @@ mod tests {
         let mut c = cfg(8);
         c.congestion.policy = CongestionPolicy::Trim;
         let mut t = ToRSwitch::new(c);
+        let mut tr = Trace::detached();
         t.install_routes([entry(Some(0), NodeId(3), PortId(0), Some(1))]);
         let mut saw_trim = false;
         for i in 0..30 {
-            let r = t.ingress(pkt(i, NodeId(3)), SimTime::from_ns(300));
+            let r = t.ingress(pkt(i, NodeId(3)), SimTime::from_ns(300), &mut tr);
             if matches!(r.decision, IngressDecision::Trimmed { .. }) {
                 saw_trim = true;
             }
@@ -784,10 +788,11 @@ mod tests {
         c.pushback_enabled = true;
         c.congestion.policy = CongestionPolicy::Drop;
         let mut t = ToRSwitch::new(c);
+        let mut tr = Trace::detached();
         t.install_routes([entry(Some(0), NodeId(3), PortId(0), Some(1))]);
         let mut msgs = 0;
         for i in 0..40 {
-            let r = t.ingress(pkt(i, NodeId(3)), SimTime::from_ns(300));
+            let r = t.ingress(pkt(i, NodeId(3)), SimTime::from_ns(300), &mut tr);
             if r.pushback.is_some() {
                 msgs += 1;
             }
@@ -800,8 +805,9 @@ mod tests {
         let mut c = cfg(64); // 64 slices but only 32 queues
         c.num_queues = 32;
         let mut t = ToRSwitch::new(c);
+        let mut tr = Trace::detached();
         t.install_routes([entry(Some(0), NodeId(3), PortId(0), Some(40))]);
-        let r = t.ingress(pkt(1, NodeId(3)), SimTime::from_ns(300));
+        let r = t.ingress(pkt(1, NodeId(3)), SimTime::from_ns(300), &mut tr);
         assert!(matches!(r.decision, IngressDecision::Dropped(DropReason::RankOverflow)));
     }
 
@@ -811,8 +817,9 @@ mod tests {
         c.num_queues = 32;
         c.offload = Some(OffloadPolicy { keep_ranks: 8, return_lead_ns: 3_000 });
         let mut t = ToRSwitch::new(c);
+        let mut tr = Trace::detached();
         t.install_routes([entry(Some(0), NodeId(3), PortId(0), Some(40))]);
-        let r = t.ingress(pkt(1, NodeId(3)), SimTime::from_ns(300));
+        let r = t.ingress(pkt(1, NodeId(3)), SimTime::from_ns(300), &mut tr);
         match r.decision {
             IngressDecision::Offloaded { abs_slice, .. } => assert_eq!(abs_slice, 40),
             other => panic!("unexpected {other:?}"),
@@ -828,9 +835,10 @@ mod tests {
     #[test]
     fn buffer_telemetry_tracks_peak() {
         let mut t = ToRSwitch::new(cfg(8));
+        let mut tr = Trace::detached();
         t.install_routes([entry(Some(0), NodeId(3), PortId(0), Some(2))]);
         for i in 0..5 {
-            t.ingress(pkt(i, NodeId(3)), SimTime::from_ns(300));
+            t.ingress(pkt(i, NodeId(3)), SimTime::from_ns(300), &mut tr);
         }
         assert_eq!(t.buffer_packets(), 5);
         assert_eq!(t.buffer_bytes(), 5 * 1064);
@@ -840,27 +848,19 @@ mod tests {
     }
 
     #[test]
-    fn attached_telemetry_observes_mechanics() {
-        use openoptics_telemetry::Registry;
-        let reg = Registry::enabled(1024);
+    fn telemetry_observes_mechanics() {
         let mut t = ToRSwitch::new(cfg(8));
-        t.attach_telemetry(&reg);
+        t.eqo_abs_err = Histogram::enabled();
+        let mut tr = Trace::bounded(1024);
         t.install_routes([entry(Some(0), NodeId(3), PortId(0), Some(0))]);
-        t.ingress(pkt(1, NodeId(3)), SimTime::from_ns(200));
+        t.ingress(pkt(1, NodeId(3)), SimTime::from_ns(200), &mut tr);
         // Head misses the slice tail at 1_950 ns (needs ~85 ns, 50 left).
-        assert!(t.pop_if_fits(PortId(0), SimTime::from_ns(1_950), 0).is_none());
-        t.rotate(SimTime::from_ns(2_000));
-        let snap = reg.snapshot(SimTime::from_ns(2_000));
-        assert_eq!(snap.counter("tor.slice_miss{node=N0}"), 1);
-        assert_eq!(snap.counter("tor.rotations{node=N0}"), 1);
-        let (_, eqo) = snap
-            .histograms
-            .iter()
-            .find(|(n, _)| n == "tor.eqo_abs_err_bytes{node=N0}")
-            .expect("eqo histogram registered");
-        assert_eq!(eqo.count, 1, "one admission, one EQO sample");
-        let events: Vec<&'static str> =
-            reg.trace().records().iter().map(|r| r.kind.name()).collect();
+        assert!(t.pop_if_fits(PortId(0), SimTime::from_ns(1_950), 0, &mut tr).is_none());
+        t.rotate(SimTime::from_ns(2_000), &mut tr);
+        assert_eq!(t.counters.slice_miss, 1);
+        assert_eq!(t.counters.rotations, 1);
+        assert_eq!(t.eqo_abs_err.summary().count, 1, "one admission, one EQO sample");
+        let events: Vec<&'static str> = tr.records().iter().map(|r| r.kind.name()).collect();
         assert_eq!(events, vec!["eqo_sample", "slice_miss", "slice_rotate"]);
     }
 
@@ -868,10 +868,11 @@ mod tests {
     fn static_single_slice_acts_as_flow_table() {
         // num_slices = 1: wildcard entries, immediate transmission.
         let mut t = ToRSwitch::new(cfg(1));
+        let mut tr = Trace::detached();
         t.install_routes([entry(None, NodeId(3), PortId(0), None)]);
-        let r = t.ingress(pkt(1, NodeId(3)), SimTime::from_ns(5));
+        let r = t.ingress(pkt(1, NodeId(3)), SimTime::from_ns(5), &mut tr);
         assert!(matches!(r.decision, IngressDecision::Enqueued { rank: 0, .. }));
         // pop works regardless of slice remaining (static mode).
-        assert!(t.pop_if_fits(PortId(0), SimTime::from_ns(1_999), 0).is_some());
+        assert!(t.pop_if_fits(PortId(0), SimTime::from_ns(1_999), 0, &mut tr).is_some());
     }
 }

@@ -6,7 +6,7 @@ use std::fmt;
 /// Errors surfaced by the telemetry subsystem's exporting entry points.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TelemetryError {
-    /// An export was requested but the registry was built disabled
+    /// An export was requested but telemetry was configured off
     /// (`NetConfig::telemetry = false`), so there is nothing to export.
     Disabled,
     /// An export format string was not recognized.

@@ -1,35 +1,23 @@
 //! Typed label sets for metric series.
 //!
 //! Labels are an enum of the entity shapes the simulation actually measures,
-//! not free-form string maps: keying series by `(static name, Labels)` keeps
-//! registration allocation-free on the hot path and gives the registry a
-//! total order for deterministic export.
+//! not free-form string maps: keying series by `(static name, Labels)`
+//! gives every series set a total order for deterministic export.
 
 use std::fmt;
 
-use openoptics_proto::{HostId, NodeId, PortId};
-use openoptics_sim::time::SliceIndex;
+use openoptics_proto::NodeId;
 
 /// The label set of one metric series.
 ///
-/// Ordering is derived, so series with the same name sort by label value in
-/// snapshots regardless of registration order.
+/// Ordering is derived, so series with the same name sort by label value
+/// in snapshots.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Labels {
     /// A network-wide series.
     None,
     /// Per endpoint node (ToR or NIC).
     Node(NodeId),
-    /// Per uplink port of a node.
-    NodePort(NodeId, PortId),
-    /// Per calendar queue of a port.
-    NodeQueue(NodeId, PortId, u32),
-    /// Per host (server).
-    Host(HostId),
-    /// A node pair (e.g. push-back source → destination).
-    Pair(NodeId, NodeId),
-    /// Per time slice of the optical cycle.
-    Slice(SliceIndex),
 }
 
 impl fmt::Display for Labels {
@@ -39,11 +27,6 @@ impl fmt::Display for Labels {
         match self {
             Labels::None => Ok(()),
             Labels::Node(n) => write!(f, "{{node={n}}}"),
-            Labels::NodePort(n, p) => write!(f, "{{node={n},port={p}}}"),
-            Labels::NodeQueue(n, p, q) => write!(f, "{{node={n},port={p},queue={q}}}"),
-            Labels::Host(h) => write!(f, "{{host={h}}}"),
-            Labels::Pair(a, b) => write!(f, "{{src={a},dst={b}}}"),
-            Labels::Slice(s) => write!(f, "{{slice={s}}}"),
         }
     }
 }
@@ -56,10 +39,6 @@ mod tests {
     fn render_forms() {
         assert_eq!(Labels::None.to_string(), "");
         assert_eq!(Labels::Node(NodeId(3)).to_string(), "{node=N3}");
-        assert_eq!(Labels::NodePort(NodeId(0), PortId(1)).to_string(), "{node=N0,port=p1}");
-        assert_eq!(Labels::Host(HostId(9)).to_string(), "{host=H9}");
-        assert_eq!(Labels::Pair(NodeId(1), NodeId(2)).to_string(), "{src=N1,dst=N2}");
-        assert_eq!(Labels::Slice(5).to_string(), "{slice=5}");
     }
 
     #[test]

@@ -6,17 +6,16 @@
 //! in a bounded [`TimeSeries`] and hands the same row, shared, to the
 //! [`FrameLog`] the streaming subscriptions drain. A sample holds values
 //! only: the rendered series names live in one table shared by every row
-//! taken while the registry's series set stayed the same. Rows
+//! taken while the engine's series set stayed the same. Rows
 //! are rendered to JSON when they are read, with a stable field order, so
 //! the series and the frame stream are byte-identical at any `--jobs`
-//! count. Rows are immutable once recorded, so a fork
-//! shares them with its parent instead of copying the history.
+//! count. Rows are immutable once recorded, so a cloned engine
+//! shares them with its original instead of copying the history.
 
 use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use crate::registry::Registry;
 use crate::slo::SloSummary;
 
 /// One sampling instant with owned, rendered series names: every
@@ -148,22 +147,41 @@ impl TimeSeries {
         TimeSeries { capacity, columns: Arc::default(), rows: Vec::new(), dropped: 0 }
     }
 
-    /// Sample every counter and gauge of `reg` at `at_ns` together with
-    /// the per-service `services`, keep the row while there is room, and
-    /// return it for the frame log. The names table is re-rendered only
-    /// when the registry has gained series since the previous sample;
-    /// series are never removed, so equal counts mean an equal set.
+    /// `(counter, gauge)` counts of the names table the next row shares
+    /// unless [`TimeSeries::sample`] is handed new names.
+    pub fn columns_len(&self) -> (usize, usize) {
+        (self.columns.counters.len(), self.columns.gauges.len())
+    }
+
+    /// Record one row at `at_ns`: the `(counter, gauge)` values, in
+    /// series-key order, together with the per-service `services`. Keep
+    /// the row while there is room and return it for the frame log.
+    /// `names` carries the `(counter, gauge)` names index-aligned with
+    /// `values`; pass them whenever the value counts differ from
+    /// [`TimeSeries::columns_len`], and `None` to share the previous
+    /// row's table. Series are never removed, so equal counts mean an
+    /// equal set.
+    ///
+    /// # Panics
+    ///
+    /// If `names` is `None` and the value counts differ from the current
+    /// names table.
     pub fn sample(
         &mut self,
         at_ns: u64,
-        reg: &Registry,
+        values: (Box<[u64]>, Box<[i64]>),
+        names: Option<(Vec<String>, Vec<String>)>,
         services: Box<[SloSummary]>,
     ) -> Arc<Sample> {
-        if reg.series_len() != (self.columns.counters.len(), self.columns.gauges.len()) {
-            let (counters, gauges) = reg.series_names();
+        let (counters, gauges) = values;
+        if let Some((counters, gauges)) = names {
             self.columns = Arc::new(Columns { counters, gauges });
         }
-        let (counters, gauges) = reg.series_values();
+        assert_eq!(
+            (counters.len(), gauges.len()),
+            self.columns_len(),
+            "sample values do not match the names table"
+        );
         let row = Arc::new(Sample {
             at_ns,
             columns: Arc::clone(&self.columns),
@@ -301,19 +319,59 @@ impl FrameLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::labels::Labels;
     use crate::slo::{ServiceStats, SloTarget};
-    use openoptics_proto::NodeId;
-    use openoptics_sim::time::SimTime;
 
-    /// The pre-columnar path: snapshot the registry into an owned row.
-    fn owned_row(reg: &Registry, at_ns: u64, services: &[SloSummary]) -> SampleRow {
-        let snap = reg.snapshot(SimTime::from_ns(at_ns));
-        SampleRow {
-            at_ns,
-            counters: snap.counters,
-            gauges: snap.gauges,
-            services: services.to_vec(),
+    /// A hand-rolled series set: sorted `(name, value)` columns that can
+    /// gain entries, as the engine's does when faults are injected.
+    #[derive(Default)]
+    struct Series {
+        counters: Vec<(String, u64)>,
+        gauges: Vec<(String, i64)>,
+    }
+
+    impl Series {
+        fn set_counter(&mut self, name: &str, v: u64) {
+            match self.counters.iter_mut().find(|(n, _)| n == name) {
+                Some(c) => c.1 = v,
+                None => {
+                    self.counters.push((name.into(), v));
+                    self.counters.sort();
+                }
+            }
+        }
+
+        fn set_gauge(&mut self, name: &str, v: i64) {
+            match self.gauges.iter_mut().find(|(n, _)| n == name) {
+                Some(g) => g.1 = v,
+                None => {
+                    self.gauges.push((name.into(), v));
+                    self.gauges.sort();
+                }
+            }
+        }
+
+        fn sample(&self, ts: &mut TimeSeries, at_ns: u64, services: &[SloSummary]) -> Arc<Sample> {
+            let values = (
+                self.counters.iter().map(|c| c.1).collect(),
+                self.gauges.iter().map(|g| g.1).collect(),
+            );
+            let names = (ts.columns_len() != (self.counters.len(), self.gauges.len())).then(|| {
+                (
+                    self.counters.iter().map(|c| c.0.clone()).collect(),
+                    self.gauges.iter().map(|g| g.0.clone()).collect(),
+                )
+            });
+            ts.sample(at_ns, values, names, services.into())
+        }
+
+        /// The reference rendering: an owned row with every name.
+        fn owned_row(&self, at_ns: u64, services: &[SloSummary]) -> SampleRow {
+            SampleRow {
+                at_ns,
+                counters: self.counters.clone(),
+                gauges: self.gauges.clone(),
+                services: services.to_vec(),
+            }
         }
     }
 
@@ -334,10 +392,10 @@ mod tests {
 
     #[test]
     fn series_keeps_first_rows() {
-        let reg = Registry::enabled(0);
+        let series = Series::default();
         let mut ts = TimeSeries::new(2);
         for i in 0..4u64 {
-            ts.sample(i, &reg, Box::default());
+            series.sample(&mut ts, i, &[]);
         }
         assert_eq!(ts.len(), 2);
         assert_eq!(ts.dropped(), 2);
@@ -346,28 +404,29 @@ mod tests {
 
     #[test]
     fn rows_render_like_owned_rows_as_columns_grow() {
-        let reg = Registry::enabled(0);
+        let mut series = Series::default();
         let mut svc = ServiceStats::new(
             "rpc".into(),
             Some(SloTarget { latency_ns: 100, objective_milli: 900, window_ns: 1_000 }),
         );
-        let sent = reg.counter("b.sent", Labels::None);
-        reg.gauge("q.len", Labels::Node(NodeId(1))).set(-2);
+        series.set_gauge("q.len{node=N1}", -2);
         let mut ts = TimeSeries::new(16);
         let mut expected = Vec::new();
+        let mut sent = 0;
         for at in 0..6u64 {
-            sent.add(at * 3);
+            sent += at * 3;
+            series.set_counter("b.sent", sent);
             svc.record(at, 50 * at, false);
             if at == 2 {
-                // Registered mid-run, sorting between existing series.
-                reg.counter("a.late", Labels::Node(NodeId(4))).add(9);
+                // Added mid-run, sorting between existing series.
+                series.set_counter("a.late{node=N4}", 9);
             }
             if at == 4 {
-                reg.gauge("z.depth", Labels::None).set(7);
+                series.set_gauge("z.depth", 7);
             }
             let services = vec![svc.summary()];
-            expected.push(owned_row(&reg, at * 1_000, &services).to_json());
-            ts.sample(at * 1_000, &reg, services.into());
+            expected.push(series.owned_row(at * 1_000, &services).to_json());
+            series.sample(&mut ts, at * 1_000, &services);
         }
         let got: Vec<String> = ts.rows().iter().map(|r| r.to_json()).collect();
         assert_eq!(got, expected);
@@ -380,6 +439,13 @@ mod tests {
         assert!(!Arc::ptr_eq(&ts.rows()[1].columns, &ts.rows()[2].columns));
         let lines = ts.to_json_lines();
         assert_eq!(lines, expected.iter().map(|l| format!("{l}\n")).collect::<String>());
+    }
+
+    #[test]
+    #[should_panic(expected = "sample values do not match the names table")]
+    fn values_without_matching_names_are_refused() {
+        let mut ts = TimeSeries::new(8);
+        ts.sample(0, (vec![1].into(), Box::default()), None, Box::default());
     }
 
     #[test]
@@ -398,19 +464,20 @@ mod tests {
         // Reference: the log as it was when every frame was rendered on
         // push, keep-first at the same capacity.
         const CAP: usize = 7;
-        let reg = Registry::enabled(0);
-        let c = reg.counter("tor.tx", Labels::Node(NodeId(0)));
+        let mut series = Series::default();
         let mut ts = TimeSeries::new(3);
         let mut log = FrameLog::new(CAP);
         let mut reference: Vec<String> = Vec::new();
+        let mut tx = 0;
         for at in 0..10u64 {
-            c.add(at);
+            tx += at;
+            series.set_counter("tor.tx{node=N0}", tx);
             let line = match at % 4 {
                 1 => format!("{{\"frame\":\"slo\",\"t_ns\":{at},\"service\":\"rpc\"}}"),
                 3 => format!("{{\"frame\":\"flight\",\"t_ns\":{at},\"records\":[]}}"),
                 _ => {
-                    let row = ts.sample(at, &reg, Box::default());
-                    let line = owned_row(&reg, at, &[]).to_json();
+                    let row = series.sample(&mut ts, at, &[]);
+                    let line = series.owned_row(at, &[]).to_json();
                     log.push_sample(row);
                     if reference.len() < CAP {
                         reference.push(line);

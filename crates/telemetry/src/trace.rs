@@ -5,10 +5,8 @@
 //! the first `capacity` records are kept and later ones are counted in
 //! `dropped`, so a run's trace is deterministic regardless of length.
 
-use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::rc::Rc;
 
 use openoptics_proto::{FlowId, HostId, NodeId, PortId};
 use openoptics_sim::time::{SimTime, SliceIndex};
@@ -192,60 +190,38 @@ impl TraceRecord {
 /// How many recent records the flight recorder retains.
 pub const FLIGHT_CAPACITY: usize = 64;
 
-/// Shared storage of the trace stream.
-#[derive(Debug)]
-pub(crate) struct TraceBuf {
+/// Storage of a recording trace stream.
+#[derive(Clone, Debug)]
+struct TraceBuf {
     capacity: usize,
-    records: RefCell<Vec<TraceRecord>>,
-    dropped: Cell<u64>,
+    records: Vec<TraceRecord>,
+    dropped: u64,
     /// Flight recorder: ring of the most recent records. Where the main
     /// buffer keeps the *first* `capacity` records, this keeps the *last*
     /// [`FLIGHT_CAPACITY`] — the short tail worth dumping when a fault
     /// fires or an invariant is about to trip late in a long run.
-    recent: RefCell<VecDeque<TraceRecord>>,
+    recent: VecDeque<TraceRecord>,
 }
 
-impl TraceBuf {
-    pub(crate) fn new(capacity: usize) -> Self {
-        TraceBuf {
-            capacity,
-            records: RefCell::new(Vec::new()),
-            dropped: Cell::new(0),
-            recent: RefCell::new(VecDeque::with_capacity(FLIGHT_CAPACITY)),
-        }
-    }
-
-    #[inline]
-    fn push(&self, rec: TraceRecord) {
-        let mut records = self.records.borrow_mut();
-        if records.len() < self.capacity {
-            records.push(rec);
-        } else {
-            self.dropped.set(self.dropped.get().saturating_add(1));
-        }
-        let mut recent = self.recent.borrow_mut();
-        if recent.len() == FLIGHT_CAPACITY {
-            recent.pop_front();
-        }
-        recent.push_back(rec);
-    }
-}
-
-/// Handle to the trace stream. Detached handles (`Default`, or from a
-/// disabled registry) drop every record at the cost of one branch.
+/// The trace stream, owned by the engine that emits into it. A detached
+/// stream (`Default`) drops every record at the cost of one branch.
 #[derive(Clone, Debug, Default)]
-pub struct Trace(pub(crate) Option<Rc<TraceBuf>>);
+pub struct Trace(Option<TraceBuf>);
 
 impl Trace {
-    /// A detached trace handle; `emit` is a no-op.
+    /// A detached stream; `emit` is a no-op.
     pub fn detached() -> Self {
         Trace(None)
     }
 
-    /// An attached, bounded trace stream. Mostly useful for tests; the
-    /// engine obtains its handle from the registry.
+    /// A recording stream keeping the first `capacity` records.
     pub fn bounded(capacity: usize) -> Self {
-        Trace(Some(Rc::new(TraceBuf::new(capacity))))
+        Trace(Some(TraceBuf {
+            capacity,
+            records: Vec::new(),
+            dropped: 0,
+            recent: VecDeque::with_capacity(FLIGHT_CAPACITY),
+        }))
     }
 
     /// Whether records are being kept. Callers may use this to skip
@@ -257,15 +233,23 @@ impl Trace {
 
     /// Append a record (no-op when detached; counted once full).
     #[inline]
-    pub fn emit(&self, t: SimTime, kind: TraceKind) {
-        if let Some(b) = &self.0 {
-            b.push(TraceRecord { t, kind });
+    pub fn emit(&mut self, t: SimTime, kind: TraceKind) {
+        let Some(b) = &mut self.0 else { return };
+        let rec = TraceRecord { t, kind };
+        if b.records.len() < b.capacity {
+            b.records.push(rec);
+        } else {
+            b.dropped = b.dropped.saturating_add(1);
         }
+        if b.recent.len() == FLIGHT_CAPACITY {
+            b.recent.pop_front();
+        }
+        b.recent.push_back(rec);
     }
 
     /// Number of records currently held.
     pub fn len(&self) -> usize {
-        self.0.as_ref().map_or(0, |b| b.records.borrow().len())
+        self.records().len()
     }
 
     /// Whether no records are held.
@@ -275,27 +259,12 @@ impl Trace {
 
     /// Records rejected because the buffer was full.
     pub fn dropped(&self) -> u64 {
-        self.0.as_ref().map_or(0, |b| b.dropped.get())
+        self.0.as_ref().map_or(0, |b| b.dropped)
     }
 
-    /// An independent copy of the stream: same capacity, records, and drop
-    /// count, separate storage. Emissions into one copy never appear in the
-    /// other — the isolation checkpoint forks need.
-    pub fn deep_clone(&self) -> Trace {
-        match &self.0 {
-            None => Trace(None),
-            Some(b) => Trace(Some(Rc::new(TraceBuf {
-                capacity: b.capacity,
-                records: RefCell::new(b.records.borrow().clone()),
-                dropped: Cell::new(b.dropped.get()),
-                recent: RefCell::new(b.recent.borrow().clone()),
-            }))),
-        }
-    }
-
-    /// Copy of the records held so far, in emission order.
-    pub fn records(&self) -> Vec<TraceRecord> {
-        self.0.as_ref().map_or_else(Vec::new, |b| b.records.borrow().clone())
+    /// The records held so far, in emission order.
+    pub fn records(&self) -> &[TraceRecord] {
+        self.0.as_ref().map_or(&[], |b| &b.records)
     }
 
     /// Flight recorder contents: the most recent [`FLIGHT_CAPACITY`]
@@ -304,17 +273,15 @@ impl Trace {
     ///
     /// [`records`]: Trace::records
     pub fn recent_records(&self) -> Vec<TraceRecord> {
-        self.0.as_ref().map_or_else(Vec::new, |b| b.recent.borrow().iter().copied().collect())
+        self.0.as_ref().map_or_else(Vec::new, |b| b.recent.iter().copied().collect())
     }
 
     /// The whole stream as JSON lines (one object per record).
     pub fn to_json_lines(&self) -> String {
         let mut out = String::new();
-        if let Some(b) = &self.0 {
-            for rec in b.records.borrow().iter() {
-                out.push_str(&rec.to_json());
-                out.push('\n');
-            }
+        for rec in self.records() {
+            out.push_str(&rec.to_json());
+            out.push('\n');
         }
         out
     }
@@ -326,7 +293,7 @@ mod tests {
 
     #[test]
     fn bounded_buffer_keeps_head_and_counts_drops() {
-        let tr = Trace::bounded(2);
+        let mut tr = Trace::bounded(2);
         for i in 0..5u64 {
             tr.emit(
                 SimTime::from_ns(i),
@@ -342,7 +309,7 @@ mod tests {
 
     #[test]
     fn detached_trace_is_inert() {
-        let tr = Trace::detached();
+        let mut tr = Trace::detached();
         assert!(!tr.is_on());
         tr.emit(SimTime::ZERO, TraceKind::Retransmit { flow: 1, kind: RetxKind::Rto });
         assert!(tr.is_empty());
@@ -352,7 +319,7 @@ mod tests {
 
     #[test]
     fn flight_recorder_keeps_the_tail() {
-        let tr = Trace::bounded(2);
+        let mut tr = Trace::bounded(2);
         for i in 0..(FLIGHT_CAPACITY as u64 + 10) {
             tr.emit(
                 SimTime::from_ns(i),
@@ -365,6 +332,17 @@ mod tests {
         assert_eq!(recent.len(), FLIGHT_CAPACITY);
         assert_eq!(recent[0].t, SimTime::from_ns(10));
         assert_eq!(recent[FLIGHT_CAPACITY - 1].t, SimTime::from_ns(FLIGHT_CAPACITY as u64 + 9));
+    }
+
+    #[test]
+    fn clones_record_independently() {
+        let mut a = Trace::bounded(8);
+        a.emit(SimTime::ZERO, TraceKind::SloBreach { service: 0 });
+        let mut b = a.clone();
+        b.emit(SimTime::from_ns(1), TraceKind::SloRecover { service: 0 });
+        assert_eq!(a.len(), 1);
+        assert_eq!(b.len(), 2);
+        assert_eq!(a.recent_records().len(), 1);
     }
 
     #[test]

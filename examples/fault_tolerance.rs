@@ -49,7 +49,7 @@ fn main() -> Result<(), Error> {
     println!("  reroutes              {:>9}", report.rerouted);
     println!("  retransmitted         {:>9}", report.retransmitted);
 
-    // The same numbers come out of the telemetry registry.
+    // The same numbers come out of the telemetry snapshot.
     let snap = net.telemetry_snapshot();
     assert_eq!(snap.counter("faults.dropped"), report.dropped);
     assert_eq!(snap.counter("engine.fault_drops"), report.dropped + report.corrupted);

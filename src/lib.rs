@@ -33,7 +33,7 @@ pub use openoptics_routing as routing;
 pub use openoptics_sim as sim;
 /// ToR switch model: time-flow tables, calendar queues, EQO, push-back.
 pub use openoptics_switch as switch;
-/// Zero-cost-when-disabled metrics registry and sim-time trace stream.
+/// Metric snapshots, sampled time series and the sim-time trace stream.
 pub use openoptics_telemetry as telemetry;
 /// Topology generators and traffic matrices.
 pub use openoptics_topo as topo;
@@ -73,7 +73,7 @@ pub mod prelude {
     pub use openoptics_routing::{LookupMode, MultipathMode, RoutingAlgorithm};
     pub use openoptics_sim::time::SimTime;
     pub use openoptics_telemetry::{
-        Labels, QuantileSketch, Registry, SloSummary, SloTarget, Snapshot, TraceKind,
+        Labels, QuantileSketch, SloSummary, SloTarget, Snapshot, TraceKind,
     };
     pub use openoptics_topo::{round_robin, TrafficMatrix};
     pub use openoptics_workload::FctStats;

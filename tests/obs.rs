@@ -120,7 +120,7 @@ fn disabled_spans_record_nothing_and_exports_error() {
     assert!(matches!(net.export_spans_chrome_trace(), Err(Error::Obs(_))));
     assert!(matches!(net.export_span_report(), Err(Error::Obs(_))));
     // A detached handle is inert no matter what is thrown at it.
-    let s = Spans::detached();
+    let mut s = Spans::detached();
     let id = s.span_begin(SimTime::from_ns(5), 0, 1, 1, Stage::Packet, 0);
     s.span_end(SimTime::from_ns(9), id, Stage::Packet);
     assert!(!s.is_on());

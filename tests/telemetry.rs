@@ -1,12 +1,12 @@
 //! Integration tests for the telemetry subsystem: deterministic exports,
 //! trace capture, periodic snapshots, and the disabled mode's error surface.
 
-use openoptics::core::{Error, NetConfig, OpenOpticsNet, TransportKind};
+use openoptics::core::{Error, FaultPlan, NetConfig, OpenOpticsNet, TransportKind};
 use openoptics::proto::{HostId, NodeId, PortId};
 use openoptics::routing::algos::Vlb;
 use openoptics::routing::{LookupMode, MultipathMode};
 use openoptics::sim::time::SimTime;
-use openoptics::telemetry::TraceKind;
+use openoptics::telemetry::SampleRow;
 use openoptics::topo::round_robin;
 
 fn cfg() -> NetConfig {
@@ -96,7 +96,7 @@ fn disabled_telemetry_refuses_export() {
     let mut c = cfg();
     c.telemetry = false;
     let net = run_one(c);
-    assert!(!net.telemetry().is_enabled());
+    assert!(!net.has_telemetry());
     assert!(matches!(
         net.export_telemetry("json"),
         Err(Error::Telemetry(openoptics::telemetry::TelemetryError::Disabled))
@@ -157,17 +157,63 @@ fn trace_capacity_bounds_the_stream() {
 }
 
 #[test]
-fn registry_handles_survive_direct_use() {
-    // The registry is part of the public API: user code can hang its own
-    // instruments off the same stream.
-    let net = run_one(cfg());
-    let reg = net.telemetry();
-    let c = reg.counter("user.custom_metric", openoptics::telemetry::Labels::None);
-    c.add(41);
-    c.inc();
+fn snapshot_finds_every_node_of_a_16_tor_network() -> Result<(), Error> {
+    // Series are listed in `(name, labels)` key order: `N10` sorts after
+    // `N9` there, but before `N2` as text. Lookup by rendered name must
+    // find every node all the same.
+    let cfg = NetConfig::builder().node_num(16).uplink(1).slice_ns(20_000).guard_ns(200).build()?;
+    let mut net = OpenOpticsNet::new(cfg.clone());
+    let (circuits, slices) = round_robin(cfg.node_num, cfg.uplink);
+    net.deploy_topo(&circuits, slices)?;
+    net.deploy_routing(Vlb, LookupMode::PerHop, MultipathMode::PerPacket)?;
+    for i in 0..16u32 {
+        net.add_flow(
+            SimTime::from_ns(50 + 37 * u64::from(i)),
+            HostId(i),
+            HostId((i + 5) % 16),
+            20_000,
+            TransportKind::Tcp(Default::default()),
+        );
+    }
+    net.run_for(SimTime::from_ms(2));
     let snap = net.telemetry_snapshot();
-    assert_eq!(snap.counter("user.custom_metric"), 42);
-    let tr = reg.trace();
-    assert!(tr.is_on());
-    tr.emit(SimTime::from_ms(9), TraceKind::SliceMiss { node: NodeId(0), port: PortId(0) });
+    for n in 0..16 {
+        let enqueued = net.engine.tor(NodeId(n)).counters.enqueued;
+        assert!(enqueued > 0, "N{n} carried no traffic");
+        assert_eq!(snap.counter(&format!("tor.enqueued{{node=N{n}}}")), enqueued, "N{n}");
+    }
+    Ok(())
+}
+
+#[test]
+fn sample_row_and_snapshot_agree_at_one_instant() -> Result<(), Error> {
+    let mut c = cfg();
+    c.sample_every_ns = 100_000;
+    c.span_sample_every = 1;
+    let mut net = run_one(c);
+    // A fault campaign installed mid-run grows the series set.
+    let plan =
+        FaultPlan::builder().link_down(NodeId(1), PortId(0), 5_500_000, 6_500_000).build()?;
+    net.inject_faults(&plan)?;
+    net.run_for(SimTime::from_ms(2));
+    let (at, queue) = (net.now(), net.queue_stats());
+    let snap = net.telemetry_snapshot();
+    net.engine.take_sample(at, queue);
+    let rows = net.engine.timeseries().rows();
+    assert!(rows.len() > 20, "periodic rows precede the probe row");
+    let row = &rows[rows.len() - 1];
+    assert_eq!(row.at_ns(), at.as_ns());
+    // Same names, same order, same values: the row renders exactly as an
+    // owned row built from the snapshot.
+    let from_snapshot = SampleRow {
+        at_ns: at.as_ns(),
+        counters: snap.counters.clone(),
+        gauges: snap.gauges.clone(),
+        services: net.slo_summaries(),
+    };
+    assert_eq!(row.to_json(), from_snapshot.to_json());
+    assert!(snap.counter("faults.activations") > 0, "fault series present");
+    assert!(snap.counter("obs.span_events") > 0, "span series present");
+    assert!(!snap.gauges.is_empty());
+    Ok(())
 }
