@@ -230,7 +230,7 @@ fn bench_eqo() {
     bench("eqo_refresh_6port_32q", move || {
         t += 120;
         eqo.on_enqueue(0, 0, 1500);
-        eqo.refresh(SimTime::from_ns(t), black_box(&active));
+        eqo.refresh(SimTime::from_ns(t), black_box(&active).iter().copied());
         black_box(eqo.estimate(0, 0))
     });
 }

@@ -57,7 +57,7 @@ fn measure(interval_ns: u64, steps: usize, seed: u64) -> Fig12Row {
             now += bw.tx_time_ns(size as u64).max(1);
             truth = (truth - (bw.bytes_in_ns(now - last)) as f64).max(0.0);
             last = now;
-            eqo.refresh(SimTime::from_ns(now), &[0]);
+            eqo.refresh(SimTime::from_ns(now), [0]);
             let est = eqo.estimate(0, 0);
             let err = (est as f64 - truth).abs() as u64;
             max_err = max_err.max(err);

@@ -38,7 +38,9 @@
 //!
 //! Each experiment reports wall-clock time and engine throughput (events
 //! scheduled per second, from `EventQueue::scheduled_total`) to stderr, and
-//! the run writes a machine-readable `BENCH_engine.json` summary.
+//! the run writes a machine-readable `BENCH_engine.json` summary with each
+//! experiment's own peak RSS (the high-water mark is reset before every
+//! experiment; at `--jobs 1` the figure is that experiment's alone).
 //! Experiments that compute their figure analytically (no simulation run)
 //! carry `"analytic": true` there, so throughput gates skip them instead
 //! of reading their zero event counts as regressions.
@@ -56,14 +58,28 @@ struct ExpStat {
     id: String,
     wall_s: f64,
     events: u64,
-    /// Process peak RSS (VmHWM) observed when the experiment finished, MB.
-    /// The high-water mark is monotonic across the run, so this reads as
-    /// "the suite never needed more than this much memory up to and
-    /// including this experiment".
+    /// Peak RSS (VmHWM) of this experiment, MB: the high-water mark is
+    /// reset before the experiment starts (see [`reset_peak_rss`]).
     peak_rss_mb: f64,
+    /// Whether that reset was refused, leaving `peak_rss_mb` the process
+    /// high-water mark since startup (rendered as `"peak_rss_scope":
+    /// "process"`).
+    rss_reset_refused: bool,
     /// Extra JSON key/value pairs appended to this record verbatim
     /// (leading comma included) — per-cell sweep stats ride here.
     extra: String,
+}
+
+/// Reset the process peak-RSS high-water mark to the current RSS by
+/// writing `5` to `/proc/self/clear_refs`, so the next [`peak_rss_mb`]
+/// covers only what ran since. Returns whether the kernel accepted it.
+///
+/// The figure is the experiment's own only at `--jobs 1`: at higher job
+/// counts its points run side by side and their memory adds up. It also
+/// starts from the RSS at the reset, which includes heap the allocator
+/// kept from earlier experiments.
+fn reset_peak_rss() -> bool {
+    std::fs::write("/proc/self/clear_refs", "5").is_ok()
 }
 
 /// Process peak resident set size in MB (`VmHWM` from `/proc/self/status`),
@@ -122,6 +138,13 @@ fn main() {
     let instrument = |stats: &mut Vec<ExpStat>, id: &'static str, body: &mut dyn FnMut()| {
         x::par::take_events(); // drop any counts from a previous section
         x::par::take_metrics();
+        let rss_reset_refused = !reset_peak_rss();
+        if rss_reset_refused {
+            eprintln!(
+                "[{id}: /proc/self/clear_refs refused the peak-RSS reset; \
+                 peak_rss_mb is the process high-water mark]"
+            );
+        }
         let t = Instant::now();
         body();
         let wall_s = t.elapsed().as_secs_f64();
@@ -156,6 +179,7 @@ fn main() {
             wall_s,
             events,
             peak_rss_mb: peak_rss_mb(),
+            rss_reset_refused,
             extra: String::new(),
         });
     };
@@ -341,7 +365,8 @@ fn main() {
             cells = x::sweep::run(quick);
             print!("{}", x::sweep::render(&cells));
         });
-        let rss = peak_rss_mb();
+        let (rss, rss_reset_refused) =
+            stats.last().map_or((0.0, true), |s| (s.peak_rss_mb, s.rss_reset_refused));
         for c in &cells {
             let (events, extra) = match &c.outcome {
                 x::sweep::Outcome::Ran { completed, total, p50_us, p99_us } => (
@@ -367,6 +392,7 @@ fn main() {
                 wall_s: c.wall_s,
                 events,
                 peak_rss_mb: rss,
+                rss_reset_refused,
                 extra,
             });
         }
@@ -431,12 +457,13 @@ fn write_bench_json(
     for (i, s) in stats.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"id\": \"{}\", \"wall_s\": {:.3}, \"events\": {}, \"events_per_sec\": {:.0}, \
-             \"peak_rss_mb\": {:.1}{}{}}}{}\n",
+             \"peak_rss_mb\": {:.1}{}{}{}}}{}\n",
             s.id,
             s.wall_s,
             s.events,
             if s.wall_s > 0.0 { s.events as f64 / s.wall_s } else { 0.0 },
             s.peak_rss_mb,
+            if s.rss_reset_refused { ", \"peak_rss_scope\": \"process\"" } else { "" },
             s.extra,
             if ANALYTIC.contains(&s.id.as_str()) { ", \"analytic\": true" } else { "" },
             if i + 1 < stats.len() { "," } else { "" }

@@ -23,7 +23,7 @@ use openoptics_host::vma::{Segment, VmaStack};
 use openoptics_host::FlowAging;
 use openoptics_obs::{Phase, Profiler, SpanEvent, Spans, Stage};
 use openoptics_proto::packet::{PacketKind, HEADER_BYTES};
-use openoptics_proto::{ControlMsg, FlowId, HostId, NodeId, Packet, PortId};
+use openoptics_proto::{ControlMsg, FlowId, HostId, NodeId, Packet, PacketSlab, PktRef, PortId};
 use openoptics_routing::{compile, LookupMode, MultipathMode, Path, RoutingAlgorithm};
 use openoptics_sim::bytequeue::ByteQueue;
 use openoptics_sim::cast::{idx_u32, to_u32, to_u8};
@@ -167,7 +167,7 @@ struct HostState {
 
 #[derive(Clone)]
 struct Link {
-    queue: ByteQueue<Packet>,
+    queue: ByteQueue<PktRef>,
     busy_until: SimTime,
     draining: bool,
 }
@@ -198,15 +198,19 @@ struct ProbeTrain {
 }
 
 /// Simulation events.
-#[allow(clippy::large_enum_variant)] // Packet-carrying events dominate by design
+///
+/// Events stay small (at most 32 bytes, pinned by a test) because every
+/// pending one is copied through the calendar queue: packet-carrying
+/// variants hold a [`PktRef`] into the engine's packet slab, and the rare
+/// control message is boxed.
 #[derive(Clone)]
 pub enum Event {
     /// Host NIC may transmit.
     HostTx(HostId),
     /// Packet head reaches a ToR ingress pipeline.
-    TorIngress(NodeId, Packet),
+    TorIngress(NodeId, PktRef),
     /// Packet fully received by a host.
-    HostRx(HostId, Packet),
+    HostRx(HostId, PktRef),
     /// Slice-boundary rotation at one switch (locally clocked).
     Rotate(NodeId),
     /// An optical uplink is free to transmit.
@@ -218,11 +222,21 @@ pub enum Event {
     /// Check for due offload recalls at a switch.
     OffloadRecall(NodeId),
     /// Re-admit a recalled offloaded packet.
-    Reinject(NodeId, u64, PortId, Packet),
+    Reinject(NodeId, u64, PortId, PktRef),
     /// Deliver a control message to a host.
-    HostControl(HostId, ControlMsg),
+    HostControl(HostId, Box<ControlMsg>),
     /// Application / transport timer.
     Timer(Timer),
+}
+
+impl Event {
+    /// The packet this event carries, if any.
+    pub(crate) fn packet(&self) -> Option<PktRef> {
+        match *self {
+            Event::TorIngress(_, p) | Event::HostRx(_, p) | Event::Reinject(.., p) => Some(p),
+            _ => None,
+        }
+    }
 }
 
 /// Application and transport timers.
@@ -570,6 +584,10 @@ pub struct Engine {
     flows: FxHashMap<FlowId, FlowState>,
     next_flow_id: FlowId,
     next_pkt_id: u64,
+    /// Every in-flight packet. Events, calendar queues, the offload ledger
+    /// and link queues hold handles into it; a packet enters when a host
+    /// transmits it and leaves when it is delivered or dropped.
+    packets: PacketSlab,
     /// Flow-completion-time collector.
     pub fct: FctStats,
     memcached: Vec<MemcachedApp>,
@@ -728,6 +746,7 @@ impl Engine {
             flows: FxHashMap::default(),
             next_flow_id: 1,
             next_pkt_id: 1,
+            packets: PacketSlab::new(),
             fct: FctStats::new(),
             memcached: vec![],
             probe_trains: vec![],
@@ -754,6 +773,38 @@ impl Engine {
             obs,
             cfg,
         }
+    }
+
+    /// Packets in flight: transmitted by a host and not yet delivered or
+    /// dropped.
+    pub fn packets_in_flight(&self) -> usize {
+        self.packets.len()
+    }
+
+    /// Packet conservation: every live slab slot is held by exactly one
+    /// pending event, calendar queue, offload ledger or link queue, and
+    /// nothing holds a freed slot. Checked after each run step under
+    /// `strict-invariants`.
+    pub(crate) fn assert_packet_conservation(&self, q: &EventQueue<Event>) {
+        let mut held: Vec<PktRef> = q.iter().filter_map(Event::packet).collect();
+        for t in &self.tors {
+            held.extend(t.packet_handles());
+        }
+        for l in self.elec.iter().chain(&self.downlinks) {
+            held.extend(l.queue.iter().copied());
+        }
+        held.sort_unstable();
+        let total = held.len();
+        held.dedup();
+        assert_eq!(held.len(), total, "a packet handle is held twice");
+        assert_eq!(
+            total,
+            self.packets.len(),
+            "packet slab leak: {} live slots, {} handles held",
+            self.packets.len(),
+            total
+        );
+        assert!(held.iter().all(|&r| self.packets.contains(r)), "a held packet handle is stale");
     }
 
     /// Whether lifecycle-span recording is active for this engine.
@@ -1672,6 +1723,7 @@ impl Engine {
     }
 
     /// Send a packet from a host into the network (NIC time already spent).
+    /// This is where the packet enters the slab.
     fn dispatch_from_host(
         &mut self,
         host: HostId,
@@ -1684,11 +1736,14 @@ impl Engine {
             self.tm_accum.add(src_tor, pkt.dst, pkt.size as f64);
             self.counters.host_tx_packets += 1;
         }
-        if self.pick_electrical(host, &pkt) {
-            self.dispatch_electrical(host, pkt, now, q);
+        let electrical = self.pick_electrical(host, &pkt);
+        let pid = pkt.id;
+        let r = self.packets.insert(pkt);
+        if electrical {
+            self.dispatch_electrical(host, r, now, q);
         } else {
-            self.obs.open(pkt.id, Stage::Propagation, now);
-            q.schedule_after(now, HOST_WIRE_NS, Event::TorIngress(src_tor, pkt));
+            self.obs.open(pid, Stage::Propagation, now);
+            q.schedule_after(now, HOST_WIRE_NS, Event::TorIngress(src_tor, r));
         }
     }
 
@@ -1697,16 +1752,19 @@ impl Engine {
     fn dispatch_electrical(
         &mut self,
         host: HostId,
-        pkt: Packet,
+        r: PktRef,
         now: SimTime,
         q: &mut EventQueue<Event>,
     ) {
         let src_tor = self.hosts[host.index()].tor;
-        let size = pkt.size;
-        let pid = pkt.id;
-        if self.elec[src_tor.index()].queue.push(size, pkt).is_err() {
+        let (size, pid) = {
+            let p = self.packets.get(r);
+            (p.size, p.id)
+        };
+        if self.elec[src_tor.index()].queue.push(size, r).is_err() {
             self.counters.link_drops += 1;
             self.obs.dropped(pid, now, 4);
+            self.packets.remove(r);
             return;
         }
         self.obs.open(pid, Stage::CalendarWait, now);
@@ -1720,12 +1778,15 @@ impl Engine {
 
     /// Deliver a packet to a host's downlink queue at its ToR.
     #[allow(clippy::wrong_self_convention)] // "to" = toward the downlink, not a conversion
-    fn to_downlink(&mut self, host: HostId, pkt: Packet, now: SimTime, q: &mut EventQueue<Event>) {
-        let size = pkt.size;
-        let pid = pkt.id;
-        if self.downlinks[host.index()].queue.push(size, pkt).is_err() {
+    fn to_downlink(&mut self, host: HostId, r: PktRef, now: SimTime, q: &mut EventQueue<Event>) {
+        let (size, pid) = {
+            let p = self.packets.get(r);
+            (p.size, p.id)
+        };
+        if self.downlinks[host.index()].queue.push(size, r).is_err() {
             self.counters.link_drops += 1;
             self.obs.dropped(pid, now, 4);
+            self.packets.remove(r);
             return;
         }
         self.obs.open(pid, Stage::Rx, now);
@@ -1860,7 +1921,8 @@ impl Engine {
                     // accounted like any other host transmission.
                     self.tm_accum.add(src_tor, pkt.dst, pkt.size as f64);
                     self.counters.host_tx_packets += 1;
-                    self.dispatch_electrical(host, pkt, now, q);
+                    let r = self.packets.insert(pkt);
+                    self.dispatch_electrical(host, r, now, q);
                 } else {
                     self.dispatch_from_host(host, pkt, now, q);
                 }
@@ -1884,34 +1946,32 @@ impl Engine {
         }
     }
 
-    fn on_tor_ingress(
-        &mut self,
-        node: NodeId,
-        pkt: Packet,
-        now: SimTime,
-        q: &mut EventQueue<Event>,
-    ) {
-        let src_tor_of_pkt = pkt.src;
-        let dst = pkt.dst;
-        let pid = pkt.id;
-        let res = self.tors[node.index()].ingress(pkt, now, &mut self.trace);
+    fn on_tor_ingress(&mut self, node: NodeId, r: PktRef, now: SimTime, q: &mut EventQueue<Event>) {
+        let (src_tor_of_pkt, dst, pid) = {
+            let p = self.packets.get(r);
+            (p.src, p.dst, p.id)
+        };
+        let res = self.tors[node.index()].ingress(r, &mut self.packets, now, &mut self.trace);
         if let Some(msg) = res.pushback {
-            // Broadcast to the sender ToR's hosts after a control RTT.
-            let hosts: Vec<HostId> = (0..self.cfg.total_hosts())
-                .map(HostId)
-                .filter(|h| self.hosts[h.index()].tor == src_tor_of_pkt)
-                .collect();
-            for h in hosts {
-                q.schedule_after(now, 2_000, Event::HostControl(h, msg.clone()));
-            }
+            self.broadcast_pushback(src_tor_of_pkt, &msg, now, q);
         }
-        match res.decision {
-            IngressDecision::DeliverLocal(p) => {
-                let host = p.dst_host;
+        let mut decision = res.decision;
+        let mut retry_pushback = None;
+        if matches!(decision, IngressDecision::NoRoute) && self.install_routes_for(node, dst) {
+            // Retry once with fresh entries.
+            let res2 = self.tors[node.index()].ingress(r, &mut self.packets, now, &mut self.trace);
+            decision = res2.decision;
+            retry_pushback = res2.pushback;
+        }
+        match decision {
+            IngressDecision::DeliverLocal => {
+                let host = self.packets.get(r).dst_host;
                 if host.0 == u32::MAX {
-                    return; // control packet addressed to the switch itself
+                    // Control packet addressed to the switch itself.
+                    self.packets.remove(r);
+                    return;
                 }
-                self.to_downlink(host, p, now, q);
+                self.to_downlink(host, r, now, q);
             }
             IngressDecision::Enqueued { port, .. } | IngressDecision::Trimmed { port, .. } => {
                 self.obs.open(pid, Stage::CalendarWait, now);
@@ -1925,55 +1985,34 @@ impl Engine {
                     self.schedule_recall(node, t.max(now), q);
                 }
             }
-            IngressDecision::Dropped(reason) => {
+            IngressDecision::Dropped(_) => {
                 self.counters.switch_drops += 1;
                 self.obs.dropped(pid, now, 1);
-                let _ = reason;
+                self.packets.remove(r);
             }
-            IngressDecision::NoRoute(p) => {
-                if self.install_routes_for(node, dst) {
-                    // Retry once with fresh entries.
-                    let res2 = self.tors[node.index()].ingress(p, now, &mut self.trace);
-                    match res2.decision {
-                        IngressDecision::DeliverLocal(p2) => {
-                            let host = p2.dst_host;
-                            self.to_downlink(host, p2, now, q);
-                        }
-                        IngressDecision::Enqueued { port, .. }
-                        | IngressDecision::Trimmed { port, .. } => {
-                            self.obs.open(pid, Stage::CalendarWait, now);
-                            if self.tors[node.index()].has_active_traffic(port) {
-                                self.kick_port(node, port, now, q);
-                            }
-                        }
-                        IngressDecision::Offloaded { .. } => {
-                            self.obs.open(pid, Stage::CalendarWait, now);
-                            if let Some(t) = self.tors[node.index()].next_offload_recall() {
-                                self.schedule_recall(node, t.max(now), q);
-                            }
-                        }
-                        IngressDecision::Dropped(_) => {
-                            self.counters.switch_drops += 1;
-                            self.obs.dropped(pid, now, 1);
-                        }
-                        IngressDecision::NoRoute(_) => {
-                            self.counters.no_route_drops += 1;
-                            self.obs.dropped(pid, now, 2);
-                        }
-                    }
-                    if let Some(msg) = res2.pushback {
-                        let hosts: Vec<HostId> = (0..self.cfg.total_hosts())
-                            .map(HostId)
-                            .filter(|h| self.hosts[h.index()].tor == src_tor_of_pkt)
-                            .collect();
-                        for h in hosts {
-                            q.schedule_after(now, 2_000, Event::HostControl(h, msg.clone()));
-                        }
-                    }
-                } else {
-                    self.counters.no_route_drops += 1;
-                    self.obs.dropped(pid, now, 2);
-                }
+            IngressDecision::NoRoute => {
+                self.counters.no_route_drops += 1;
+                self.obs.dropped(pid, now, 2);
+                self.packets.remove(r);
+            }
+        }
+        if let Some(msg) = retry_pushback {
+            self.broadcast_pushback(src_tor_of_pkt, &msg, now, q);
+        }
+    }
+
+    /// Deliver a push-back message to every host of `tor` after a control
+    /// round trip.
+    fn broadcast_pushback(
+        &mut self,
+        tor: NodeId,
+        msg: &ControlMsg,
+        now: SimTime,
+        q: &mut EventQueue<Event>,
+    ) {
+        for h in (0..self.cfg.total_hosts()).map(HostId) {
+            if self.hosts[h.index()].tor == tor {
+                q.schedule_after(now, 2_000, Event::HostControl(h, Box::new(msg.clone())));
             }
         }
     }
@@ -1999,7 +2038,8 @@ impl Engine {
             self.counters.guardband_holds += 1;
             self.trace.emit(now, TraceKind::GuardbandHold { node, port });
             if self.obs.spans.is_on() {
-                if let Some((pid, _)) = self.tors[node.index()].head_packet_ids(port) {
+                if let Some(r) = self.tors[node.index()].head_packet(port) {
+                    let pid = self.packets.get(r).id;
                     self.obs.hold_begin(pid, now);
                 }
             }
@@ -2013,7 +2053,11 @@ impl Engine {
         // Every drain attempt refreshes the EQO estimate inside the switch.
         self.obs.profiler.mark(Phase::EqoTick);
         match popped {
-            Some((pkt, tx)) => {
+            Some((r, tx)) => {
+                let (pid, size) = {
+                    let p = self.packets.get(r);
+                    (p.id, p.size)
+                };
                 if cfg!(feature = "strict-invariants") && self.slice_cfg.num_slices > 1 {
                     // Guardband containment: the hold branch above already
                     // deferred guardband instants, and pop_if_fits only
@@ -2055,23 +2099,25 @@ impl Engine {
                     }
                     self.trace.emit(now, TraceKind::FaultDrop { node, port });
                     self.obs.profiler.mark(Phase::FaultRuntime);
-                    self.obs.fault_dropped(pkt.id, now, code);
+                    self.obs.fault_dropped(pid, now, code);
+                    self.packets.remove(r);
                     return;
                 }
-                self.tx_bytes_per_port[node.index()][port.index()] += pkt.size as u64;
+                self.tx_bytes_per_port[node.index()][port.index()] += size as u64;
                 // Port is busy for the serialization time.
                 self.port_pending[node.index()][port.index()] = true;
                 q.schedule_after(now, tx, Event::PortFree(node, port));
-                self.obs.serialized(pkt.id, now, tx);
+                self.obs.serialized(pid, now, tx);
                 match self.fabric.transit(node, port, now) {
                     openoptics_fabric::Transit::Delivered { node: peer, latency_ns, .. } => {
-                        let delay = self.pipeline.delay_ns(pkt.size, &mut self.rng) + latency_ns;
-                        self.obs.open(pkt.id, Stage::Propagation, now + tx);
-                        q.schedule_after(now, delay.max(tx), Event::TorIngress(peer, pkt));
+                        let delay = self.pipeline.delay_ns(size, &mut self.rng) + latency_ns;
+                        self.obs.open(pid, Stage::Propagation, now + tx);
+                        q.schedule_after(now, delay.max(tx), Event::TorIngress(peer, r));
                     }
                     lost => {
                         self.counters.fabric_drops += 1;
-                        self.obs.dropped(pkt.id, now + tx, 3);
+                        self.obs.dropped(pid, now + tx, 3);
+                        self.packets.remove(r);
                         if self.trace.is_on() {
                             let kind = match lost {
                                 openoptics_fabric::Transit::Guardband => {
@@ -2163,16 +2209,19 @@ impl Engine {
             return;
         }
         match link.queue.pop() {
-            Some((len, pkt)) => {
+            Some((len, r)) => {
                 let tx = bw.tx_time_ns(len as u64).max(1);
                 link.busy_until = now + tx;
                 let busy_until = link.busy_until;
                 q.schedule(busy_until, Event::ElecFree(node));
-                self.obs.serialized(pkt.id, now, tx);
-                self.obs.open(pkt.id, Stage::Propagation, now + tx);
-                let host = pkt.dst_host;
+                let (pid, host) = {
+                    let p = self.packets.get(r);
+                    (p.id, p.dst_host)
+                };
+                self.obs.serialized(pid, now, tx);
+                self.obs.open(pid, Stage::Propagation, now + tx);
                 let core = self.cfg.electrical_core_ns;
-                q.schedule_after(now, tx + core, Event::HostRx(host, pkt));
+                q.schedule_after(now, tx + core, Event::HostRx(host, r));
             }
             None => {
                 link.draining = false;
@@ -2188,11 +2237,11 @@ impl Engine {
             return;
         }
         match link.queue.pop() {
-            Some((len, pkt)) => {
+            Some((len, r)) => {
                 let tx = bw.tx_time_ns(len as u64).max(1);
                 link.busy_until = now + tx;
                 q.schedule(link.busy_until, Event::DownlinkFree(host));
-                q.schedule_after(now, tx, Event::HostRx(host, pkt));
+                q.schedule_after(now, tx, Event::HostRx(host, r));
             }
             None => {
                 link.draining = false;
@@ -2200,13 +2249,9 @@ impl Engine {
         }
     }
 
-    fn on_host_rx(
-        &mut self,
-        host: HostId,
-        mut pkt: Packet,
-        now: SimTime,
-        q: &mut EventQueue<Event>,
-    ) {
+    /// A packet reached its host: this is where it leaves the slab.
+    fn on_host_rx(&mut self, host: HostId, r: PktRef, now: SimTime, q: &mut EventQueue<Event>) {
+        let mut pkt = self.packets.remove(r);
         // Move the kind out of the delivered packet (it is consumed here)
         // instead of cloning it — Control carries heap-allocated reports.
         match std::mem::replace(&mut pkt.kind, PacketKind::Data) {
@@ -2384,10 +2429,11 @@ impl Engine {
             out.swap_remove(i);
         }
         let due = self.tors[node.index()].offload_due(now);
-        for (abs, port, pkt) in due {
+        for (abs, port, r) in due {
             // Host round trip: recall notify + host link serialization.
-            let rtt = 2_000 + self.cfg.host_link_bandwidth().tx_time_ns(pkt.size as u64);
-            q.schedule_after(now, rtt, Event::Reinject(node, abs, port, pkt));
+            let size = self.packets.get(r).size;
+            let rtt = 2_000 + self.cfg.host_link_bandwidth().tx_time_ns(size as u64);
+            q.schedule_after(now, rtt, Event::Reinject(node, abs, port, r));
         }
         if let Some(t) = self.tors[node.index()].next_offload_recall() {
             self.schedule_recall(node, t.max(now + 1), q);
@@ -2399,14 +2445,21 @@ impl Engine {
         node: NodeId,
         abs: u64,
         port: PortId,
-        pkt: Packet,
+        r: PktRef,
         now: SimTime,
         q: &mut EventQueue<Event>,
     ) {
         let cur = self.tors[node.index()].abs_slice();
         let rank = to_u32(abs.saturating_sub(cur));
-        let pid = pkt.id;
-        let res = self.tors[node.index()].reinject_offloaded(pkt, port, rank, now, &mut self.trace);
+        let pid = self.packets.get(r).id;
+        let res = self.tors[node.index()].reinject_offloaded(
+            r,
+            &mut self.packets,
+            port,
+            rank,
+            now,
+            &mut self.trace,
+        );
         match res.decision {
             IngressDecision::Enqueued { port, .. } | IngressDecision::Trimmed { port, .. } => {
                 self.obs.open(pid, Stage::CalendarWait, now);
@@ -2417,6 +2470,7 @@ impl Engine {
             IngressDecision::Dropped(_) => {
                 self.counters.switch_drops += 1;
                 self.obs.dropped(pid, now, 1);
+                self.packets.remove(r);
             }
             IngressDecision::Offloaded { .. } => {
                 self.obs.open(pid, Stage::CalendarWait, now);
@@ -2424,7 +2478,8 @@ impl Engine {
                     self.schedule_recall(node, t.max(now + 1), q);
                 }
             }
-            _ => {}
+            // Admission never resolves a route or delivers locally.
+            IngressDecision::DeliverLocal | IngressDecision::NoRoute => {}
         }
     }
 
@@ -2585,8 +2640,22 @@ impl World for Engine {
             Event::DownlinkFree(h) => self.on_downlink_free(h, now, q),
             Event::OffloadRecall(n) => self.on_offload_recall(n, now, q),
             Event::Reinject(n, abs, port, pkt) => self.on_reinject(n, abs, port, pkt, now, q),
-            Event::HostControl(h, m) => self.on_host_control(h, m, now, q),
+            Event::HostControl(h, m) => self.on_host_control(h, *m, now, q),
             Event::Timer(t) => self.on_timer(t, now, q),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn events_stay_small() {
+        // Every pending event is copied through the calendar queue; a
+        // variant that embeds a payload by value must not slip back in.
+        assert!(std::mem::size_of::<Event>() <= 32, "Event is {} B", std::mem::size_of::<Event>());
+        let entry = EventQueue::<Event>::ENTRY_BYTES;
+        assert!(entry <= 48, "queue entry is {entry} B");
     }
 }

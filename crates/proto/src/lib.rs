@@ -13,8 +13,11 @@
 pub mod ids;
 pub mod message;
 pub mod packet;
+/// Engine-owned storage for in-flight packets.
+pub mod slab;
 pub mod wire;
 
 pub use ids::{FlowId, HostId, NodeId, PortId};
 pub use message::ControlMsg;
 pub use packet::{Packet, PacketKind, SourceHop, SourceRoute, HEADER_BYTES, MTU};
+pub use slab::{PacketSlab, PktRef};

@@ -10,6 +10,7 @@
 use crate::ids::{FlowId, HostId, NodeId, PortId};
 use crate::message::ControlMsg;
 use openoptics_sim::time::{SimTime, SliceIndex};
+use std::sync::Arc;
 
 /// Standard Ethernet MTU used throughout the evaluation.
 pub const MTU: u32 = 1500;
@@ -33,15 +34,19 @@ pub struct SourceHop {
 
 /// A stack of source-route hops written into the packet at the source
 /// endpoint. Nodes pop the front hop as they execute it.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+///
+/// The hop list is shared with the route-table entry that stamped it, so
+/// stamping a packet bumps a reference count; each packet keeps only its
+/// own cursor.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SourceRoute {
-    hops: Vec<SourceHop>,
+    hops: Arc<[SourceHop]>,
     next: usize,
 }
 
 impl SourceRoute {
     /// Build from an ordered hop list (first hop executed at the source).
-    pub fn new(hops: Vec<SourceHop>) -> Self {
+    pub fn new(hops: Arc<[SourceHop]>) -> Self {
         SourceRoute { hops, next: 0 }
     }
 
@@ -219,10 +224,10 @@ mod tests {
 
     #[test]
     fn source_route_walks_hops() {
-        let mut sr = SourceRoute::new(vec![
+        let mut sr = SourceRoute::new(Arc::from([
             SourceHop { port: PortId(1), dep_slice: Some(0) },
             SourceHop { port: PortId(2), dep_slice: Some(1) },
-        ]);
+        ]));
         assert_eq!(sr.total(), 2);
         assert_eq!(sr.remaining(), 2);
         assert_eq!(sr.current().unwrap().port, PortId(1));
@@ -235,11 +240,11 @@ mod tests {
 
     #[test]
     fn source_route_wire_cost() {
-        let sr = SourceRoute::new(vec![
+        let sr = SourceRoute::new(Arc::from([
             SourceHop { port: PortId(1), dep_slice: None },
             SourceHop { port: PortId(2), dep_slice: Some(3) },
             SourceHop { port: PortId(0), dep_slice: Some(7) },
-        ]);
+        ]));
         assert_eq!(sr.wire_bytes(), 12);
     }
 

@@ -11,6 +11,7 @@ use openoptics_proto::packet::{SourceHop, SourceRoute};
 use openoptics_proto::{NodeId, PortId};
 use openoptics_sim::time::SliceIndex;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// `LOOKUP` option of `deploy_routing()`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -54,14 +55,16 @@ pub struct RouteAction {
     /// Departure time slice; `None` is the wildcard (send immediately).
     pub dep_slice: Option<SliceIndex>,
     /// Hop stack written into the packet at the source (source routing
-    /// only; the first element duplicates `port`/`dep_slice`).
-    pub push_source_route: Option<Vec<SourceHop>>,
+    /// only; the first element duplicates `port`/`dep_slice`). Shared with
+    /// every packet it stamps.
+    pub push_source_route: Option<Arc<[SourceHop]>>,
 }
 
 impl RouteAction {
-    /// The source-route object to stamp on a packet, if any.
+    /// The source-route object to stamp on a packet, if any. Shares the
+    /// hop stack (a reference-count bump, no copy).
     pub fn source_route(&self) -> Option<SourceRoute> {
-        self.push_source_route.as_ref().map(|h| SourceRoute::new(h.clone()))
+        self.push_source_route.as_ref().map(|h| SourceRoute::new(Arc::clone(h)))
     }
 }
 
@@ -121,7 +124,7 @@ pub fn compile(paths: &[Path], lookup: LookupMode, multipath: MultipathMode) -> 
                 }
             }
             LookupMode::SourceRouting => {
-                let stack: Vec<SourceHop> = p
+                let stack: Arc<[SourceHop]> = p
                     .hops
                     .iter()
                     .map(|h| SourceHop { port: h.port, dep_slice: h.dep_slice })
@@ -191,8 +194,8 @@ mod tests {
         let stack = e.actions[0].0.push_source_route.as_ref().expect("source-route stack present");
         // Fig. 3(d): hops <1,0> then <2,1>.
         assert_eq!(
-            stack,
-            &vec![
+            &stack[..],
+            &[
                 SourceHop { port: PortId(1), dep_slice: Some(0) },
                 SourceHop { port: PortId(2), dep_slice: Some(1) },
             ]

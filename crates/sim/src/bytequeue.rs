@@ -81,6 +81,11 @@ impl<T> ByteQueue<T> {
         self.items.front()
     }
 
+    /// Queued items, head first.
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
+        self.items.iter().map(|(_, item)| item)
+    }
+
     /// Pause the queue: `pop` returns `None` until resumed.
     pub fn pause(&mut self) {
         self.paused = true;

@@ -26,6 +26,12 @@
 //! * `near_len` — lets the cursor skip the empty-bucket scan entirely when
 //!   the ring holds nothing.
 //!
+//! A bucket drained by a burst would otherwise keep the capacity of its
+//! largest-ever occupancy for the rest of the run. When the cursor leaves a
+//! drained bucket, its capacity is cut back to `RETAINED_BUCKET_CAP`, so
+//! the memory the ring holds tracks the pending events rather than the
+//! worst burst each slot has ever seen.
+//!
 //! Events at equal timestamps are delivered in the order they were scheduled
 //! (FIFO), which is the property that makes the whole simulation
 //! deterministic under a fixed seed.
@@ -50,6 +56,12 @@ const BUCKET_BITS: u32 = 10;
 /// comfortably covering slice rotations (µs–100 µs scale) while keeping the
 /// 10 ms watchdog timers in the far heap.
 const NUM_BUCKETS: usize = 4096;
+/// Entries of capacity a drained bucket keeps once the cursor leaves it.
+/// Large enough that a slot's routine occupancy reuses its storage without
+/// reallocating, small enough that the whole ring retains at most
+/// `NUM_BUCKETS * RETAINED_BUCKET_CAP` entries however large past bursts
+/// were.
+const RETAINED_BUCKET_CAP: usize = 256;
 
 #[derive(Clone)]
 struct Entry<E> {
@@ -151,6 +163,10 @@ fn bucket_of(time: SimTime) -> u64 {
 }
 
 impl<E> EventQueue<E> {
+    /// Bytes one pending event occupies in the queue: the event plus its
+    /// `(time, seq)` key.
+    pub const ENTRY_BYTES: usize = std::mem::size_of::<Entry<E>>();
+
     /// An empty queue.
     pub fn new() -> Self {
         EventQueue {
@@ -244,6 +260,10 @@ impl<E> EventQueue<E> {
                     self.cur_sorted = true;
                 }
                 return;
+            }
+            // The cursor leaves this drained bucket below.
+            if self.buckets[slot].capacity() > RETAINED_BUCKET_CAP {
+                self.buckets[slot].shrink_to(RETAINED_BUCKET_CAP);
             }
             if self.near_len == 0 {
                 // Everything pending lives in the far heap: jump the window
@@ -407,6 +427,16 @@ impl<E> EventQueue<E> {
             (None, Some(o)) => Some(o.0),
             (None, None) => unreachable!("ensure_current found no event"),
         }
+    }
+
+    /// Every pending event, in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = &E> {
+        self.buckets
+            .iter()
+            .flatten()
+            .chain(self.overlay.iter())
+            .chain(self.far.iter())
+            .map(|e| &e.event)
     }
 
     /// Number of pending events.
@@ -576,6 +606,46 @@ mod tests {
             }
         }
         assert_eq!(a.len(), b.len());
+    }
+
+    /// Total entry capacity held by the ring buckets.
+    fn ring_capacity<E>(q: &EventQueue<E>) -> usize {
+        q.buckets.iter().map(Vec::capacity).sum()
+    }
+
+    #[test]
+    fn drained_burst_bucket_gives_memory_back() {
+        let mut q = EventQueue::new();
+        let burst = SimTime::from_ns(5_000);
+        for i in 0..50_000u64 {
+            q.schedule(burst, i);
+        }
+        // One later event, so popping it walks the cursor off the burst.
+        q.schedule(SimTime::from_ns(20_000), 50_000);
+        assert!(ring_capacity(&q) >= 50_000);
+        for i in 0..50_000u64 {
+            assert_eq!(q.pop(), Some((burst, i)));
+        }
+        assert_eq!(q.pop(), Some((SimTime::from_ns(20_000), 50_000)));
+        // Burst bucket cut back, plus the one bucket the cursor sits on.
+        assert!(
+            ring_capacity(&q) <= 2 * RETAINED_BUCKET_CAP,
+            "ring still holds {} entries of capacity",
+            ring_capacity(&q)
+        );
+    }
+
+    #[test]
+    fn iter_visits_every_pending_event() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_ns(2_000), 0); // near
+        q.schedule(SimTime::from_secs(1), 1); // far
+        assert_eq!(q.pop(), Some((SimTime::from_ns(2_000), 0)));
+        q.schedule(SimTime::from_ns(500), 2); // overlay
+        q.schedule(SimTime::from_ns(9_000), 3); // near
+        let mut seen: Vec<u32> = q.iter().copied().collect();
+        seen.sort_unstable();
+        assert_eq!(seen, vec![1, 2, 3]);
     }
 
     #[test]

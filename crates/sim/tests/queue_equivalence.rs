@@ -110,4 +110,56 @@ proptest! {
             check_pop(&mut cal, &mut reference)?;
         }
     }
+
+    /// Bursts then sparse traffic, the pattern that makes the ring cut a
+    /// drained bucket's capacity back: hundreds of events pile into one
+    /// bucket (some past the near window), are partly drained, and later
+    /// pops interleave with sparse schedules that walk the cursor across
+    /// the shrunk buckets and wrap the ring.
+    #[test]
+    fn burst_then_sparse_matches(
+        bursts in collection::vec((0u64..8_000_000, 1usize..1_500, 0usize..1_500), 1..6),
+        sparse in collection::vec((any::<u64>(), 0u8..3u8), 0..200)
+    ) {
+        let mut cal: EventQueue<u64> = EventQueue::new();
+        let mut reference = Reference::new();
+        let mut seq = 0u64;
+        let mut now = 0u64;
+        for &(at, size, drain) in &bursts {
+            // One instant (so one bucket) plus a sprinkle within its bucket.
+            let t = now + at;
+            for i in 0..size as u64 {
+                let time = t + i % 7;
+                cal.schedule(SimTime::from_ns(time), seq);
+                reference.push(Reverse((time, seq)));
+                seq += 1;
+            }
+            for _ in 0..drain {
+                let got = cal.pop().map(|(t, s)| (t.as_ns(), s));
+                let want = reference.pop().map(|Reverse(k)| k);
+                prop_assert_eq!(got, want);
+                if let Some((t, _)) = got {
+                    now = t;
+                }
+            }
+        }
+        for &(raw, pops) in &sparse {
+            let time = now + raw % 20_000_000;
+            cal.schedule(SimTime::from_ns(time), seq);
+            reference.push(Reverse((time, seq)));
+            seq += 1;
+            for _ in 0..pops {
+                let got = cal.pop().map(|(t, s)| (t.as_ns(), s));
+                let want = reference.pop().map(|Reverse(k)| k);
+                prop_assert_eq!(got, want);
+                if let Some((t, _)) = got {
+                    now = t;
+                }
+            }
+        }
+        while !reference.is_empty() || !cal.is_empty() {
+            prop_assert_eq!(cal.len(), reference.len());
+            check_pop(&mut cal, &mut reference)?;
+        }
+    }
 }

@@ -135,6 +135,11 @@ impl<T> CalendarPort<T> {
         self.queues.iter().map(|q| q.len()).sum()
     }
 
+    /// Every buffered item, ring index order, head first within a queue.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
+        self.queues.iter().flat_map(|q| q.iter())
+    }
+
     /// High-water mark of total occupancy (sum of per-queue peaks is an
     /// over-estimate; this tracks the per-queue peaks summed, which is what
     /// Table 3 reports per-port anyway).

@@ -64,9 +64,9 @@ impl Eqo {
     }
 
     /// Apply all whole elapsed intervals of line-rate drain to the active
-    /// queue of each port. `active[p]` is port `p`'s active queue index.
-    pub fn refresh(&mut self, now: SimTime, active: &[usize]) {
-        debug_assert_eq!(active.len(), self.regs.len());
+    /// queue of each port. `active` yields each port's active queue index,
+    /// port order; it is only consumed when a whole interval has elapsed.
+    pub fn refresh(&mut self, now: SimTime, active: impl IntoIterator<Item = usize>) {
         let elapsed = now.saturating_since(self.applied_until);
         let ticks = elapsed / self.interval_ns;
         if ticks == 0 {
@@ -79,9 +79,12 @@ impl Eqo {
         } else {
             self.drain_per_interval() * ticks
         };
-        for (p, &a) in active.iter().enumerate() {
-            self.regs[p][a] = self.regs[p][a].saturating_sub(drain);
+        let mut ports = 0;
+        for (regs, a) in self.regs.iter_mut().zip(active) {
+            regs[a] = regs[a].saturating_sub(drain);
+            ports += 1;
         }
+        debug_assert_eq!(ports, self.regs.len(), "one active index per port");
         self.applied_until += ticks * self.interval_ns;
         if cfg!(feature = "strict-invariants") {
             // The drain point is quantized to whole intervals, so it may lag
@@ -150,11 +153,11 @@ mod tests {
         let mut e = eqo50();
         e.on_enqueue(0, 0, 10_000);
         // 8 intervals elapse: drains 8 * 625 = 5_000 from port 0's active q0.
-        e.refresh(SimTime::from_ns(400), &[0, 0]);
+        e.refresh(SimTime::from_ns(400), [0, 0]);
         assert_eq!(e.estimate(0, 0), 5_000);
         // Non-active queues untouched.
         e.on_enqueue(0, 2, 700);
-        e.refresh(SimTime::from_ns(800), &[0, 0]);
+        e.refresh(SimTime::from_ns(800), [0, 0]);
         assert_eq!(e.estimate(0, 2), 700);
     }
 
@@ -162,7 +165,7 @@ mod tests {
     fn floors_at_zero_like_hardware() {
         let mut e = eqo50();
         e.on_enqueue(1, 0, 100);
-        e.refresh(SimTime::from_us(1), &[0, 0]);
+        e.refresh(SimTime::from_us(1), [0, 0]);
         assert_eq!(e.estimate(1, 0), 0);
     }
 
@@ -170,9 +173,9 @@ mod tests {
     fn partial_intervals_not_applied() {
         let mut e = eqo50();
         e.on_enqueue(0, 0, 1_000);
-        e.refresh(SimTime::from_ns(49), &[0, 0]);
+        e.refresh(SimTime::from_ns(49), [0, 0]);
         assert_eq!(e.estimate(0, 0), 1_000, "sub-interval elapse must not drain");
-        e.refresh(SimTime::from_ns(99), &[0, 0]);
+        e.refresh(SimTime::from_ns(99), [0, 0]);
         assert_eq!(e.estimate(0, 0), 375, "one whole interval drains 625");
     }
 
@@ -184,9 +187,9 @@ mod tests {
         lazy.on_enqueue(0, 1, 9_999);
         eager.on_enqueue(0, 1, 9_999);
         for t in 1..=20u64 {
-            eager.refresh(SimTime::from_ns(t * 50), &[1, 0]);
+            eager.refresh(SimTime::from_ns(t * 50), [1, 0]);
         }
-        lazy.refresh(SimTime::from_ns(1_000), &[1, 0]);
+        lazy.refresh(SimTime::from_ns(1_000), [1, 0]);
         assert_eq!(lazy.estimate(0, 1), eager.estimate(0, 1));
     }
 
@@ -204,7 +207,7 @@ mod tests {
             now += 120;
             // Line-rate drain of the same amount.
             truth -= 1500;
-            e.refresh(SimTime::from_ns(now), &[0, 0]);
+            e.refresh(SimTime::from_ns(now), [0, 0]);
             let est = e.estimate(0, 0) as i64;
             let err = (est - truth.max(0)).abs();
             assert!(err <= 625 + 1500, "iteration {i}: error {err}");

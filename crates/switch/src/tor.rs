@@ -10,6 +10,9 @@
 //! transmit. Each takes the engine's trace stream to narrate what it did;
 //! the switch's counters and EQO error histogram are its own fields, read
 //! by the engine's series table.
+//!
+//! Packets live in the engine's [`PacketSlab`]; the switch reads and edits
+//! them through the slab and buffers only their [`PktRef`] handles.
 
 use crate::calendar::{CalendarPort, EnqueueError};
 use crate::congestion::{
@@ -20,7 +23,7 @@ use crate::offload::{OffloadBook, OffloadPolicy};
 use crate::pushback::PushbackGen;
 use crate::tft::TimeFlowTable;
 use openoptics_proto::packet::HEADER_BYTES;
-use openoptics_proto::{ControlMsg, FlowId, NodeId, Packet, PortId};
+use openoptics_proto::{ControlMsg, NodeId, PacketSlab, PktRef, PortId};
 use openoptics_routing::RouteEntry;
 use openoptics_sim::cast::idx_u32;
 use openoptics_sim::rate::Bandwidth;
@@ -86,11 +89,13 @@ pub enum DropReason {
     RankOverflow,
 }
 
-/// Outcome of one ingress pipeline pass.
+/// Outcome of one ingress pipeline pass. The caller keeps the packet's
+/// handle in every case; only `Enqueued`, `Offloaded` and `Trimmed` leave
+/// the switch holding it as well.
 #[derive(Debug)]
 pub enum IngressDecision {
     /// Destination is this switch: hand to the local host layer.
-    DeliverLocal(Packet),
+    DeliverLocal,
     /// Buffered in a calendar queue.
     Enqueued {
         /// Uplink the packet will leave on.
@@ -112,11 +117,11 @@ pub enum IngressDecision {
         /// Slices until departure.
         rank: u32,
     },
-    /// Dropped; packet consumed.
+    /// Dropped; the switch no longer holds the packet (the caller frees it).
     Dropped(DropReason),
-    /// No matching time-flow entry; packet returned so the caller can
-    /// consult the controller (lazy table population) and retry.
-    NoRoute(Packet),
+    /// No matching time-flow entry; the caller can consult the controller
+    /// (lazy table population) and retry.
+    NoRoute,
 }
 
 /// Ingress outcome plus any push-back broadcast to emit.
@@ -167,7 +172,7 @@ pub struct ToRSwitch {
     /// Static configuration.
     pub cfg: TorConfig,
     tft: TimeFlowTable,
-    ports: Vec<CalendarPort<Packet>>,
+    ports: Vec<CalendarPort<PktRef>>,
     eqo: Eqo,
     pushback: PushbackGen,
     /// Offload ledger (meaningful only when `cfg.offload` is set).
@@ -263,10 +268,6 @@ impl ToRSwitch {
         self.ports.iter().map(|p| p.rank_overflow).sum()
     }
 
-    fn active_indices(&self) -> Vec<usize> {
-        self.ports.iter().map(|p| p.active_index()).collect()
-    }
-
     fn note_peak(&mut self) {
         let b = self.buffer_bytes();
         if b > self.peak_buffer_bytes {
@@ -277,8 +278,7 @@ impl ToRSwitch {
     /// Slice-boundary rotation: apply pending EQO drain for the old active
     /// queues, then rotate every port and bump the slice counters.
     pub fn rotate(&mut self, now: SimTime, trace: &mut Trace) {
-        let active = self.active_indices();
-        self.eqo.refresh(now, &active);
+        self.eqo.refresh(now, self.ports.iter().map(CalendarPort::active_index));
         for p in &mut self.ports {
             p.rotate();
         }
@@ -300,65 +300,75 @@ impl ToRSwitch {
         }
     }
 
-    /// Ingress pipeline for one packet.
-    pub fn ingress(&mut self, mut pkt: Packet, now: SimTime, trace: &mut Trace) -> IngressResult {
-        let active = self.active_indices();
-        self.eqo.refresh(now, &active);
+    /// Ingress pipeline for packet `r`, stored in `packets`.
+    pub fn ingress(
+        &mut self,
+        r: PktRef,
+        packets: &mut PacketSlab,
+        now: SimTime,
+        trace: &mut Trace,
+    ) -> IngressResult {
+        self.eqo.refresh(now, self.ports.iter().map(CalendarPort::active_index));
+        let pkt = packets.get_mut(r);
         pkt.ingress_ts = now;
 
         if pkt.dst == self.cfg.id {
             self.counters.delivered_local += 1;
-            return IngressResult { decision: IngressDecision::DeliverLocal(pkt), pushback: None };
+            return IngressResult { decision: IngressDecision::DeliverLocal, pushback: None };
         }
         pkt.hops = pkt.hops.saturating_add(1);
 
         // Resolve the egress decision: an in-flight source route wins;
         // otherwise the time-flow table (which may itself stamp a route).
-        let (port, dep_slice) = if let Some(hop) =
-            pkt.source_route.as_ref().and_then(|sr| sr.current())
-        {
-            pkt.source_route.as_mut().expect("just read").advance();
-            // The executed hop's header entry is popped off the wire.
-            pkt.size = pkt.size.saturating_sub(4);
-            (hop.port, hop.dep_slice)
-        } else {
-            let Some(action) = self.tft.lookup(&pkt, self.current_slice) else {
-                return IngressResult { decision: IngressDecision::NoRoute(pkt), pushback: None };
+        let (port, dep_slice) =
+            if let Some(hop) = pkt.source_route.as_ref().and_then(|sr| sr.current()) {
+                pkt.source_route.as_mut().expect("just read").advance();
+                // The executed hop's header entry is popped off the wire.
+                pkt.size = pkt.size.saturating_sub(4);
+                (hop.port, hop.dep_slice)
+            } else {
+                let Some(action) = self.tft.lookup(pkt, self.current_slice) else {
+                    return IngressResult { decision: IngressDecision::NoRoute, pushback: None };
+                };
+                let (port, dep) = (action.port, action.dep_slice);
+                if let Some(mut sr) = action.source_route() {
+                    // Stamping the hop stack costs wire bytes (4 per hop,
+                    // Fig. 3d); the first hop is executed and popped right away.
+                    pkt.size += sr.wire_bytes().saturating_sub(4);
+                    sr.advance();
+                    pkt.source_route = Some(sr);
+                }
+                (port, dep)
             };
-            let (port, dep) = (action.port, action.dep_slice);
-            if let Some(mut sr) = action.source_route() {
-                // Stamping the hop stack costs wire bytes (4 per hop,
-                // Fig. 3d); the first hop is executed and popped right away.
-                pkt.size += sr.wire_bytes().saturating_sub(4);
-                sr.advance();
-                pkt.source_route = Some(sr);
-            }
-            (port, dep)
-        };
 
         let rank = match dep_slice {
             Some(dep) => self.cfg.slice_cfg.rank(self.current_slice, dep),
             None => 0,
         };
-        self.admit(pkt, port, rank, now, trace)
+        self.admit(r, packets, port, rank, now, trace)
     }
 
     /// Admission: offload check, congestion detection, calendar enqueue.
     fn admit(
         &mut self,
-        mut pkt: Packet,
+        pkt: PktRef,
+        packets: &mut PacketSlab,
         port: PortId,
         rank: u32,
         now: SimTime,
         trace: &mut Trace,
     ) -> IngressResult {
         let pidx = port.index();
+        let (dst, mut size) = {
+            let p = packets.get(pkt);
+            (p.dst, p.size)
+        };
 
         // Buffer offloading: far-future ranks are parked on hosts.
         if let Some(pol) = self.cfg.offload {
             if pol.should_offload(rank) || !self.ports[pidx].rank_fits(rank) {
                 let abs = self.abs_slice + rank as u64;
-                self.offload_book.park(abs, port, pkt);
+                self.offload_book.park(abs, port, pkt, size);
                 return IngressResult {
                     decision: IngressDecision::Offloaded { abs_slice: abs, port },
                     pushback: None,
@@ -368,7 +378,7 @@ impl ToRSwitch {
             self.counters.dropped_rank += 1;
             // A rank the ring cannot express is also a queue-full condition
             // for push-back purposes.
-            let pb = self.queue_full_pushback(&pkt, rank, now, trace);
+            let pb = self.queue_full_pushback(dst, rank, now, trace);
             return IngressResult {
                 decision: IngressDecision::Dropped(DropReason::RankOverflow),
                 pushback: pb,
@@ -403,9 +413,8 @@ impl ToRSwitch {
             admissible_bytes(&self.cfg.slice_cfg, self.cfg.uplink_bandwidth, rank, now);
         let mut trimmed = false;
         let mut pushback = None;
-        if evaluate(&self.cfg.congestion, est, pkt.size, admissible) == CongestionOutcome::Congested
-        {
-            pushback = self.queue_full_pushback(&pkt, rank, now, trace);
+        if evaluate(&self.cfg.congestion, est, size, admissible) == CongestionOutcome::Congested {
+            pushback = self.queue_full_pushback(dst, rank, now, trace);
             match self.cfg.congestion.policy {
                 CongestionPolicy::Drop => {
                     self.counters.dropped_congestion += 1;
@@ -415,9 +424,11 @@ impl ToRSwitch {
                     };
                 }
                 CongestionPolicy::Trim => {
-                    pkt.size = HEADER_BYTES;
-                    pkt.payload = 0;
-                    pkt.trimmed = true;
+                    let p = packets.get_mut(pkt);
+                    p.size = HEADER_BYTES;
+                    p.payload = 0;
+                    p.trimmed = true;
+                    size = HEADER_BYTES;
                     trimmed = true;
                     self.counters.trimmed += 1;
                 }
@@ -433,7 +444,7 @@ impl ToRSwitch {
                             if let Some(pol) = self.cfg.offload {
                                 if pol.should_offload(r) {
                                     let abs = self.abs_slice + r as u64;
-                                    self.offload_book.park(abs, port, pkt);
+                                    self.offload_book.park(abs, port, pkt, size);
                                     self.counters.deferred += 1;
                                     return IngressResult {
                                         decision: IngressDecision::Offloaded {
@@ -458,8 +469,7 @@ impl ToRSwitch {
                             r,
                             now,
                         );
-                        if evaluate(&self.cfg.congestion, e, pkt.size, adm)
-                            == CongestionOutcome::Admit
+                        if evaluate(&self.cfg.congestion, e, size, adm) == CongestionOutcome::Admit
                         {
                             found = Some(r);
                             break;
@@ -484,7 +494,6 @@ impl ToRSwitch {
         }
 
         // Ground-truth enqueue.
-        let size = pkt.size;
         match self.ports[pidx].enqueue(chosen_rank, size, pkt) {
             Ok(qidx) => {
                 self.eqo.on_enqueue(pidx, qidx, size);
@@ -518,19 +527,16 @@ impl ToRSwitch {
 
     fn queue_full_pushback(
         &mut self,
-        pkt: &Packet,
+        dst: NodeId,
         rank: u32,
         now: SimTime,
         trace: &mut Trace,
     ) -> Option<ControlMsg> {
         let slice = self.cfg.slice_cfg.advance(self.current_slice, rank);
         let cycle = (self.abs_slice + rank as u64) / self.cfg.slice_cfg.num_slices as u64;
-        let msg = self.pushback.on_queue_full(pkt.dst, slice, cycle);
+        let msg = self.pushback.on_queue_full(dst, slice, cycle);
         if msg.is_some() {
-            trace.emit(
-                now,
-                TraceKind::PushbackAssert { node: self.cfg.id, dst: pkt.dst, slice, cycle },
-            );
+            trace.emit(now, TraceKind::PushbackAssert { node: self.cfg.id, dst, slice, cycle });
         }
         msg
     }
@@ -544,9 +550,8 @@ impl ToRSwitch {
         now: SimTime,
         end_margin_ns: u64,
         trace: &mut Trace,
-    ) -> Option<(Packet, u64)> {
-        let active = self.active_indices();
-        self.eqo.refresh(now, &active);
+    ) -> Option<(PktRef, u64)> {
+        self.eqo.refresh(now, self.ports.iter().map(CalendarPort::active_index));
         let cp = &mut self.ports[port.index()];
         let (len, _) = *cp.peek_active()?;
         let tx = self.cfg.uplink_bandwidth.tx_time_ns(len as u64).max(1);
@@ -573,16 +578,22 @@ impl ToRSwitch {
         self.ports[port.index()].active_bytes() > 0
     }
 
-    /// Packet and flow id of the head of `port`'s active queue, if any —
-    /// a non-destructive peek for observability (guardband-hold spans).
-    pub fn head_packet_ids(&self, port: PortId) -> Option<(u64, FlowId)> {
-        self.ports[port.index()].peek_active().map(|(_, p)| (p.id, p.flow))
+    /// The head of `port`'s active queue, if any — a non-destructive peek
+    /// for observability (guardband-hold spans).
+    pub fn head_packet(&self, port: PortId) -> Option<PktRef> {
+        self.ports[port.index()].peek_active().map(|&(_, p)| p)
+    }
+
+    /// Handles of every packet the switch holds: calendar queues, then the
+    /// offload ledger.
+    pub fn packet_handles(&self) -> impl Iterator<Item = PktRef> + '_ {
+        self.ports.iter().flat_map(|p| p.iter().copied()).chain(self.offload_book.handles())
     }
 
     /// Offload batches due for recall at `now` (engine re-injects them
     /// through [`ToRSwitch::reinject_offloaded`] after the host round trip).
     /// Returns `(target absolute slice, port, packet)` triples.
-    pub fn offload_due(&mut self, now: SimTime) -> Vec<(u64, PortId, Packet)> {
+    pub fn offload_due(&mut self, now: SimTime) -> Vec<(u64, PortId, PktRef)> {
         match self.cfg.offload {
             Some(pol) => self.offload_book.due(now, &self.cfg.slice_cfg, pol.return_lead_ns),
             None => vec![],
@@ -599,9 +610,11 @@ impl ToRSwitch {
 
     /// Re-admit a returned offloaded packet: it flows through the normal
     /// admission path, now with a near rank.
+    #[allow(clippy::too_many_arguments)]
     pub fn reinject_offloaded(
         &mut self,
-        pkt: Packet,
+        r: PktRef,
+        packets: &mut PacketSlab,
         port: PortId,
         rank: u32,
         now: SimTime,
@@ -609,7 +622,7 @@ impl ToRSwitch {
     ) -> IngressResult {
         // Bypass the offload check for near ranks by construction: the
         // caller recalls with lead < keep_ranks slices.
-        self.admit(pkt, port, rank, now, trace)
+        self.admit(r, packets, port, rank, now, trace)
     }
 
     /// The push-back generator's statistics.
@@ -621,7 +634,7 @@ impl ToRSwitch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use openoptics_proto::HostId;
+    use openoptics_proto::{HostId, Packet};
     use openoptics_routing::{MultipathMode, RouteAction, RouteMatch};
 
     fn cfg(num_slices: u32) -> TorConfig {
@@ -645,8 +658,9 @@ mod tests {
     fn local_delivery_short_circuits() {
         let mut t = ToRSwitch::new(cfg(8));
         let mut tr = Trace::detached();
-        let r = t.ingress(pkt(1, NodeId(0)), SimTime::from_ns(300), &mut tr);
-        assert!(matches!(r.decision, IngressDecision::DeliverLocal(_)));
+        let mut s = PacketSlab::new();
+        let r = t.ingress(s.insert(pkt(1, NodeId(0))), &mut s, SimTime::from_ns(300), &mut tr);
+        assert!(matches!(r.decision, IngressDecision::DeliverLocal));
         assert_eq!(t.counters.delivered_local, 1);
     }
 
@@ -654,9 +668,10 @@ mod tests {
     fn no_route_returns_packet() {
         let mut t = ToRSwitch::new(cfg(8));
         let mut tr = Trace::detached();
-        let r = t.ingress(pkt(1, NodeId(3)), SimTime::from_ns(300), &mut tr);
+        let mut s = PacketSlab::new();
+        let r = t.ingress(s.insert(pkt(1, NodeId(3))), &mut s, SimTime::from_ns(300), &mut tr);
         match r.decision {
-            IngressDecision::NoRoute(p) => assert_eq!(p.dst, NodeId(3)),
+            IngressDecision::NoRoute => {}
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -665,9 +680,10 @@ mod tests {
     fn enqueue_rank_matches_departure_slice() {
         let mut t = ToRSwitch::new(cfg(8));
         let mut tr = Trace::detached();
+        let mut s = PacketSlab::new();
         // Arrive slice 0, depart slice 3 -> rank 3.
         t.install_routes([entry(Some(0), NodeId(3), PortId(1), Some(3))]);
-        let r = t.ingress(pkt(1, NodeId(3)), SimTime::from_ns(300), &mut tr);
+        let r = t.ingress(s.insert(pkt(1, NodeId(3))), &mut s, SimTime::from_ns(300), &mut tr);
         match r.decision {
             IngressDecision::Enqueued { port, rank } => {
                 assert_eq!(port, PortId(1));
@@ -685,7 +701,7 @@ mod tests {
         let (p, tx) = t
             .pop_if_fits(PortId(1), SimTime::from_ns(6_300), 0, &mut tr)
             .expect("head fits the slice");
-        assert_eq!(p.id, 1);
+        assert_eq!(s.get(p).id, 1);
         assert!(tx > 0);
     }
 
@@ -693,8 +709,9 @@ mod tests {
     fn tail_that_misses_slice_waits() {
         let mut t = ToRSwitch::new(cfg(8));
         let mut tr = Trace::detached();
+        let mut s = PacketSlab::new();
         t.install_routes([entry(Some(0), NodeId(3), PortId(0), Some(0))]);
-        t.ingress(pkt(1, NodeId(3)), SimTime::from_ns(200), &mut tr);
+        t.ingress(s.insert(pkt(1, NodeId(3))), &mut s, SimTime::from_ns(200), &mut tr);
         // 1064-byte wire packet at 100 Gbps = ~85 ns; only 50 ns left.
         assert!(t.pop_if_fits(PortId(0), SimTime::from_ns(1_950), 0, &mut tr).is_none());
         // Earlier in the slice it fits.
@@ -704,14 +721,16 @@ mod tests {
     #[test]
     fn source_route_overrides_table() {
         use openoptics_proto::packet::{SourceHop, SourceRoute};
+        use std::sync::Arc;
         let mut t = ToRSwitch::new(cfg(8));
         let mut tr = Trace::detached();
+        let mut s = PacketSlab::new();
         // Table says port 0; the packet carries a source route via port 1.
         t.install_routes([entry(Some(0), NodeId(3), PortId(0), Some(0))]);
         let mut p = pkt(1, NodeId(3));
         p.source_route =
-            Some(SourceRoute::new(vec![SourceHop { port: PortId(1), dep_slice: Some(2) }]));
-        let r = t.ingress(p, SimTime::from_ns(300), &mut tr);
+            Some(SourceRoute::new(Arc::from([SourceHop { port: PortId(1), dep_slice: Some(2) }])));
+        let r = t.ingress(s.insert(p), &mut s, SimTime::from_ns(300), &mut tr);
         match r.decision {
             IngressDecision::Enqueued { port, rank } => {
                 assert_eq!(port, PortId(1));
@@ -731,12 +750,13 @@ mod tests {
         };
         let mut t = ToRSwitch::new(c);
         let mut tr = Trace::detached();
+        let mut s = PacketSlab::new();
         t.install_routes([entry(Some(0), NodeId(3), PortId(0), Some(1))]);
         // Admissible for a future slice: 100 Gbps x 1800 ns = 22_500 B.
         // 21 x 1064 B = 22_344 B fit; the 22nd exceeds.
         let mut dropped = 0;
         for i in 0..25 {
-            let r = t.ingress(pkt(i, NodeId(3)), SimTime::from_ns(300), &mut tr);
+            let r = t.ingress(s.insert(pkt(i, NodeId(3))), &mut s, SimTime::from_ns(300), &mut tr);
             if matches!(r.decision, IngressDecision::Dropped(DropReason::Congestion)) {
                 dropped += 1;
             }
@@ -751,10 +771,11 @@ mod tests {
         c.congestion.policy = CongestionPolicy::Defer { max_extra_slices: 4 };
         let mut t = ToRSwitch::new(c);
         let mut tr = Trace::detached();
+        let mut s = PacketSlab::new();
         t.install_routes([entry(Some(0), NodeId(3), PortId(0), Some(1))]);
         let mut ranks = vec![];
         for i in 0..30 {
-            let r = t.ingress(pkt(i, NodeId(3)), SimTime::from_ns(300), &mut tr);
+            let r = t.ingress(s.insert(pkt(i, NodeId(3))), &mut s, SimTime::from_ns(300), &mut tr);
             if let IngressDecision::Enqueued { rank, .. } = r.decision {
                 ranks.push(rank);
             }
@@ -770,10 +791,11 @@ mod tests {
         c.congestion.policy = CongestionPolicy::Trim;
         let mut t = ToRSwitch::new(c);
         let mut tr = Trace::detached();
+        let mut s = PacketSlab::new();
         t.install_routes([entry(Some(0), NodeId(3), PortId(0), Some(1))]);
         let mut saw_trim = false;
         for i in 0..30 {
-            let r = t.ingress(pkt(i, NodeId(3)), SimTime::from_ns(300), &mut tr);
+            let r = t.ingress(s.insert(pkt(i, NodeId(3))), &mut s, SimTime::from_ns(300), &mut tr);
             if matches!(r.decision, IngressDecision::Trimmed { .. }) {
                 saw_trim = true;
             }
@@ -789,10 +811,11 @@ mod tests {
         c.congestion.policy = CongestionPolicy::Drop;
         let mut t = ToRSwitch::new(c);
         let mut tr = Trace::detached();
+        let mut s = PacketSlab::new();
         t.install_routes([entry(Some(0), NodeId(3), PortId(0), Some(1))]);
         let mut msgs = 0;
         for i in 0..40 {
-            let r = t.ingress(pkt(i, NodeId(3)), SimTime::from_ns(300), &mut tr);
+            let r = t.ingress(s.insert(pkt(i, NodeId(3))), &mut s, SimTime::from_ns(300), &mut tr);
             if r.pushback.is_some() {
                 msgs += 1;
             }
@@ -806,8 +829,9 @@ mod tests {
         c.num_queues = 32;
         let mut t = ToRSwitch::new(c);
         let mut tr = Trace::detached();
+        let mut s = PacketSlab::new();
         t.install_routes([entry(Some(0), NodeId(3), PortId(0), Some(40))]);
-        let r = t.ingress(pkt(1, NodeId(3)), SimTime::from_ns(300), &mut tr);
+        let r = t.ingress(s.insert(pkt(1, NodeId(3))), &mut s, SimTime::from_ns(300), &mut tr);
         assert!(matches!(r.decision, IngressDecision::Dropped(DropReason::RankOverflow)));
     }
 
@@ -818,8 +842,9 @@ mod tests {
         c.offload = Some(OffloadPolicy { keep_ranks: 8, return_lead_ns: 3_000 });
         let mut t = ToRSwitch::new(c);
         let mut tr = Trace::detached();
+        let mut s = PacketSlab::new();
         t.install_routes([entry(Some(0), NodeId(3), PortId(0), Some(40))]);
-        let r = t.ingress(pkt(1, NodeId(3)), SimTime::from_ns(300), &mut tr);
+        let r = t.ingress(s.insert(pkt(1, NodeId(3))), &mut s, SimTime::from_ns(300), &mut tr);
         match r.decision {
             IngressDecision::Offloaded { abs_slice, .. } => assert_eq!(abs_slice, 40),
             other => panic!("unexpected {other:?}"),
@@ -836,9 +861,10 @@ mod tests {
     fn buffer_telemetry_tracks_peak() {
         let mut t = ToRSwitch::new(cfg(8));
         let mut tr = Trace::detached();
+        let mut s = PacketSlab::new();
         t.install_routes([entry(Some(0), NodeId(3), PortId(0), Some(2))]);
         for i in 0..5 {
-            t.ingress(pkt(i, NodeId(3)), SimTime::from_ns(300), &mut tr);
+            t.ingress(s.insert(pkt(i, NodeId(3))), &mut s, SimTime::from_ns(300), &mut tr);
         }
         assert_eq!(t.buffer_packets(), 5);
         assert_eq!(t.buffer_bytes(), 5 * 1064);
@@ -852,8 +878,9 @@ mod tests {
         let mut t = ToRSwitch::new(cfg(8));
         t.eqo_abs_err = Histogram::enabled();
         let mut tr = Trace::bounded(1024);
+        let mut s = PacketSlab::new();
         t.install_routes([entry(Some(0), NodeId(3), PortId(0), Some(0))]);
-        t.ingress(pkt(1, NodeId(3)), SimTime::from_ns(200), &mut tr);
+        t.ingress(s.insert(pkt(1, NodeId(3))), &mut s, SimTime::from_ns(200), &mut tr);
         // Head misses the slice tail at 1_950 ns (needs ~85 ns, 50 left).
         assert!(t.pop_if_fits(PortId(0), SimTime::from_ns(1_950), 0, &mut tr).is_none());
         t.rotate(SimTime::from_ns(2_000), &mut tr);
@@ -869,8 +896,9 @@ mod tests {
         // num_slices = 1: wildcard entries, immediate transmission.
         let mut t = ToRSwitch::new(cfg(1));
         let mut tr = Trace::detached();
+        let mut s = PacketSlab::new();
         t.install_routes([entry(None, NodeId(3), PortId(0), None)]);
-        let r = t.ingress(pkt(1, NodeId(3)), SimTime::from_ns(5), &mut tr);
+        let r = t.ingress(s.insert(pkt(1, NodeId(3))), &mut s, SimTime::from_ns(5), &mut tr);
         assert!(matches!(r.decision, IngressDecision::Enqueued { rank: 0, .. }));
         // pop works regardless of slice remaining (static mode).
         assert!(t.pop_if_fits(PortId(0), SimTime::from_ns(1_999), 0, &mut tr).is_some());
